@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .ranking import Ranking, all_rankings
+from .ranking import Ranking, all_rankings, level_of_value, value_of_level
+from .semantics import BINARY_TABLES, UNARY_TABLES
+from .syntax import And, Box1, Box2, Not, Or
 
 
 class PreorderOp(enum.Enum):
@@ -30,10 +32,14 @@ class PreorderOp(enum.Enum):
 UNARY_OPS = frozenset({PreorderOp.NEG, PreorderOp.BOX1, PreorderOp.BOX2})
 BINARY_OPS = frozenset({PreorderOp.JOIN, PreorderOp.MEET})
 
-_UNARY_LEVEL_MAPS = {
-    PreorderOp.NEG: {1: 3, 2: 2, 3: 1},
-    PreorderOp.BOX1: {1: 1, 2: 1, 3: 2},
-    PreorderOp.BOX2: {1: 1, 2: 1, 3: 3},
+# Each level operation is its connective's truth table read through the
+# level <-> value correspondence.
+_CONNECTIVES = {
+    PreorderOp.NEG: Not,
+    PreorderOp.BOX1: Box1,
+    PreorderOp.BOX2: Box2,
+    PreorderOp.JOIN: Or,
+    PreorderOp.MEET: And,
 }
 
 # Ranking induced by the bare variable x0: its model is most plausible.
@@ -48,15 +54,16 @@ def apply_op(op: PreorderOp, r: Ranking, r2: Ranking | None = None) -> Ranking:
     if op in UNARY_OPS:
         if r2 is not None:
             raise ValueError(f"{op.value} takes a single ranking")
-        table = _UNARY_LEVEL_MAPS[op]
-        return Ranking(r.n, tuple(table[level] for level in r.levels))
+        row = UNARY_TABLES[_CONNECTIVES[op]]
+        return Ranking(r.n, tuple(level_of_value(row[value_of_level(level)]) for level in r.levels))
     if op in BINARY_OPS:
         if r2 is None:
             raise ValueError(f"{op.value} takes two rankings")
         if r.n != r2.n:
             raise ValueError(f"rankings must agree on the variable count ({r.n} vs {r2.n})")
-        pick = min if op is PreorderOp.JOIN else max
-        return Ranking(r.n, tuple(pick(a, b) for a, b in zip(r.levels, r2.levels)))
+        fn = BINARY_TABLES[_CONNECTIVES[op]]
+        values = zip(map(value_of_level, r.levels), map(value_of_level, r2.levels))
+        return Ranking(r.n, tuple(level_of_value(fn(a, b)) for a, b in values))
     raise TypeError(f"not a level operation: {op!r}")
 
 
@@ -90,13 +97,11 @@ def _mid_world_level(r: Ranking) -> int:
     return r.levels[1]
 
 
-@lru_cache(maxsize=2)
-def forbidden_family_box1(n: int = 1) -> frozenset[Ranking]:
+@lru_cache(maxsize=1)
+def forbidden_family_box1() -> frozenset[Ranking]:
     """Rankings of one variable unreachable from x0 with negation, disjunction
     and []1 alone: the linear ones placing the all-u world at an extreme
     level, and the ones with an empty middle level."""
-    if n != 1:
-        raise ValueError("the forbidden families are defined over one variable")
     family = []
     for r in all_rankings(1):
         sizes = [len(r.level_set(level)) for level in (1, 2, 3)]
@@ -108,12 +113,10 @@ def forbidden_family_box1(n: int = 1) -> frozenset[Ranking]:
     return frozenset(family)
 
 
-@lru_cache(maxsize=2)
-def forbidden_family_box2(n: int = 1) -> frozenset[Ranking]:
+@lru_cache(maxsize=1)
+def forbidden_family_box2() -> frozenset[Ranking]:
     """Rankings of one variable unreachable from x0 with negation, disjunction
     and []2 alone."""
-    if n != 1:
-        raise ValueError("the forbidden families are defined over one variable")
     family = []
     for r in all_rankings(1):
         sizes = [len(r.level_set(level)) for level in (1, 2, 3)]
@@ -164,9 +167,9 @@ def verify_nondefinability(variant: str, include_bot: bool = False) -> Nondefina
     With ``include_bot`` the all-rejected ranking joins the generators.
     """
     if variant == "box1":
-        box, family = PreorderOp.BOX1, forbidden_family_box1(1)
+        box, family = PreorderOp.BOX1, forbidden_family_box1()
     elif variant == "box2":
-        box, family = PreorderOp.BOX2, forbidden_family_box2(1)
+        box, family = PreorderOp.BOX2, forbidden_family_box2()
     else:
         raise ValueError(f"variant must be 'box1' or 'box2', got {variant!r}")
     generators = {X0_RANKING}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .ranking import LEVELS, Ranking, all_rankings, formula_of_ranking, ranking_of_formula, capture_valuation, value_of_level
+from .ranking import LEVELS, Ranking, all_rankings, capture_valuation, formula_of_ranking, level_indicator, ranking_of_formula
 from .semantics import TruthValue, interpretations, value_profile
 from .syntax import And, Bot, Box1, Formula, Not, Or
 
@@ -37,10 +37,6 @@ class OperatorTable:
         if i not in LEVELS or j not in LEVELS:
             raise ValueError("table cells are indexed by levels 1..3")
         return self.cells[(i - 1) * 3 + (j - 1)]
-
-    def combine_values(self, a: TruthValue, b: TruthValue) -> TruthValue:
-        """The table read at the truth-value level (1 means level 1, and so on)."""
-        return value_of_level(self.cells[(2 - a) * 3 + (2 - b)])
 
     def serialize(self) -> str:
         return "".join(str(c) for c in self.cells)
@@ -91,17 +87,6 @@ def apply_semantic(table: OperatorTable, r_old: Ranking, r_new: Ranking) -> Rank
 def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
     """The revised formula: encode both inputs as rankings, combine, re-encode."""
     return formula_of_ranking(apply_semantic(table, ranking_of_formula(f, n), ranking_of_formula(g, n)))
-
-
-def level_indicator(f: Formula, level: int) -> Formula:
-    """A formula true exactly at the worlds where ``f`` sits at ``level``."""
-    if level == 1:
-        return f
-    if level == 2:
-        return And(Box1(f), Box1(Not(f)))
-    if level == 3:
-        return Not(f)
-    raise ValueError("levels must be 1, 2 or 3")
 
 
 def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, g: Formula) -> Formula:

@@ -26,7 +26,7 @@ LEVELS = (1, 2, 3)
 
 
 def level_of_value(v: TruthValue) -> int:
-    return 3 - int(v)
+    return 3 - v
 
 
 def value_of_level(level: int) -> TruthValue:
@@ -145,7 +145,18 @@ def all_rankings(n: int) -> Iterator[Ranking]:
 def ranking_of_formula(formula: Formula, n: int, memo: dict | None = None) -> Ranking:
     """The ranking induced by a formula's truth table (1 -> level 1, u -> 2, 0 -> 3)."""
     profile = value_profile(formula, n, memo)
-    return Ranking(n, tuple(3 - int(v) for v in profile))
+    return Ranking(n, tuple(map(level_of_value, profile)))
+
+
+def level_indicator(f: Formula, level: int) -> Formula:
+    """A formula true exactly at the worlds where ``f`` sits at ``level``."""
+    if level == 1:
+        return f
+    if level == 2:
+        return And(Box1(f), Box1(Not(f)))
+    if level == 3:
+        return Not(f)
+    raise ValueError("levels must be 1, 2 or 3")
 
 
 @lru_cache(maxsize=None)
@@ -157,15 +168,7 @@ def capture_valuation(w: Interpretation) -> Formula:
     """
     if not w:
         raise ValueError("capture formulas need at least one variable")
-    conjuncts: list[Formula] = []
-    for i, v in enumerate(w):
-        x = Var(i)
-        if v is TruthValue.TRUE:
-            conjuncts.append(x)
-        elif v is TruthValue.FALSE:
-            conjuncts.append(Not(x))
-        else:
-            conjuncts.append(And(Box1(x), Box1(Not(x))))
+    conjuncts = [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)]
     out = conjuncts[0]
     for part in conjuncts[1:]:
         out = And(out, part)

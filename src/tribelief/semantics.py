@@ -44,36 +44,47 @@ VALUES = (TruthValue.FALSE, TruthValue.UNDET, TruthValue.TRUE)
 Interpretation = tuple[TruthValue, ...]
 
 
+F, U, T = VALUES
+
+# Each connective's truth table.  A unary connective is the tuple of its
+# values at 0, u and 1; a binary one is a function of its operands' values.
+UNARY_TABLES = {
+    Not: (T, U, F),
+    Dia1: (F, F, U),
+    Box1: (U, T, T),
+    Dia2: (F, F, T),
+    Box2: (F, T, T),
+}
+
+
 def neg(v: TruthValue) -> TruthValue:
-    return TruthValue(2 - v)
+    return UNARY_TABLES[Not][v]
 
 
-def conj(a: TruthValue, b: TruthValue) -> TruthValue:
-    return min(a, b)
+def dia1(v: TruthValue) -> TruthValue:
+    return UNARY_TABLES[Dia1][v]
 
 
-def disj(a: TruthValue, b: TruthValue) -> TruthValue:
-    return max(a, b)
+def box1(v: TruthValue) -> TruthValue:
+    return UNARY_TABLES[Box1][v]
+
+
+def dia2(v: TruthValue) -> TruthValue:
+    return UNARY_TABLES[Dia2][v]
+
+
+def box2(v: TruthValue) -> TruthValue:
+    return UNARY_TABLES[Box2][v]
+
+
+conj, disj = min, max
 
 
 def implies(a: TruthValue, b: TruthValue) -> TruthValue:
     return max(neg(a), b)
 
 
-def dia1(v: TruthValue) -> TruthValue:
-    return TruthValue(max(v - 1, 0))
-
-
-def box1(v: TruthValue) -> TruthValue:
-    return TruthValue(min(v + 1, 2))
-
-
-def dia2(v: TruthValue) -> TruthValue:
-    return TruthValue.TRUE if v is TruthValue.TRUE else TruthValue.FALSE
-
-
-def box2(v: TruthValue) -> TruthValue:
-    return TruthValue.FALSE if v is TruthValue.FALSE else TruthValue.TRUE
+BINARY_TABLES = {And: conj, Or: disj, Implies: implies}
 
 
 @lru_cache(maxsize=None)
@@ -110,31 +121,38 @@ def parse_interpretation(text: str, n: int) -> Interpretation:
     return tuple(TruthValue.from_symbol(c) for c in chunks)
 
 
+def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> tuple[TruthValue, ...]:
+    """Values of ``node`` at each of ``worlds``, read off the connective tables.
+
+    A module-level function rather than a closure, so a call leaves no
+    reference cycle holding ``memo`` until the cyclic collector runs.
+    """
+    entry = memo.get(id(node))
+    if entry is not None:
+        return entry[1]
+    kind = type(node)
+    row = UNARY_TABLES.get(kind)
+    if row is not None:
+        profile = tuple([row[v] for v in _profile(node.operand, worlds, memo)])
+    elif kind in BINARY_TABLES:
+        left = _profile(node.left, worlds, memo)
+        profile = tuple(map(BINARY_TABLES[kind], left, _profile(node.right, worlds, memo)))
+    elif kind is Var:
+        n = len(worlds[0])
+        if node.index >= n:
+            raise ValueError(f"variable x{node.index} out of range for {n} variable(s)")
+        profile = tuple([w[node.index] for w in worlds])
+    elif kind is Bot:
+        profile = (F,) * len(worlds)
+    else:
+        raise TypeError(f"not a formula node: {node!r}")
+    memo[id(node)] = (node, profile)
+    return profile
+
+
 def eval_formula(formula: Formula, w: Interpretation) -> TruthValue:
     """Value of ``formula`` under the interpretation ``w``."""
-    if isinstance(formula, Var):
-        if formula.index >= len(w):
-            raise ValueError(f"variable x{formula.index} out of range for {len(w)} variable(s)")
-        return w[formula.index]
-    if isinstance(formula, Bot):
-        return TruthValue.FALSE
-    if isinstance(formula, Not):
-        return neg(eval_formula(formula.operand, w))
-    if isinstance(formula, And):
-        return conj(eval_formula(formula.left, w), eval_formula(formula.right, w))
-    if isinstance(formula, Or):
-        return disj(eval_formula(formula.left, w), eval_formula(formula.right, w))
-    if isinstance(formula, Implies):
-        return implies(eval_formula(formula.left, w), eval_formula(formula.right, w))
-    if isinstance(formula, Dia1):
-        return dia1(eval_formula(formula.operand, w))
-    if isinstance(formula, Box1):
-        return box1(eval_formula(formula.operand, w))
-    if isinstance(formula, Dia2):
-        return dia2(eval_formula(formula.operand, w))
-    if isinstance(formula, Box2):
-        return box2(eval_formula(formula.operand, w))
-    raise TypeError(f"not a formula node: {formula!r}")
+    return _profile(formula, (w,), {})[0]
 
 
 def value_profile(formula: Formula, n: int, memo: dict | None = None) -> tuple[TruthValue, ...]:
@@ -144,43 +162,7 @@ def value_profile(formula: Formula, n: int, memo: dict | None = None) -> tuple[T
     across calls to avoid re-evaluating shared subtrees.  Entries pin their
     node, so a live memo never hands back a stale profile.
     """
-    worlds = interpretations(n)
-    count = len(worlds)
-    if memo is None:
-        memo = {}
-
-    def walk(node: Formula) -> tuple[TruthValue, ...]:
-        entry = memo.get(id(node))
-        if entry is not None:
-            return entry[1]
-        if isinstance(node, Var):
-            if node.index >= n:
-                raise ValueError(f"variable x{node.index} out of range for {n} variable(s)")
-            profile = tuple(w[node.index] for w in worlds)
-        elif isinstance(node, Bot):
-            profile = (TruthValue.FALSE,) * count
-        elif isinstance(node, Not):
-            profile = tuple(neg(v) for v in walk(node.operand))
-        elif isinstance(node, And):
-            profile = tuple(map(min, walk(node.left), walk(node.right)))
-        elif isinstance(node, Or):
-            profile = tuple(map(max, walk(node.left), walk(node.right)))
-        elif isinstance(node, Implies):
-            profile = tuple(implies(a, b) for a, b in zip(walk(node.left), walk(node.right)))
-        elif isinstance(node, Dia1):
-            profile = tuple(dia1(v) for v in walk(node.operand))
-        elif isinstance(node, Box1):
-            profile = tuple(box1(v) for v in walk(node.operand))
-        elif isinstance(node, Dia2):
-            profile = tuple(dia2(v) for v in walk(node.operand))
-        elif isinstance(node, Box2):
-            profile = tuple(box2(v) for v in walk(node.operand))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[id(node)] = (node, profile)
-        return profile
-
-    return walk(formula)
+    return _profile(formula, interpretations(n), {} if memo is None else memo)
 
 
 def classify(formula: Formula, n: int) -> tuple[tuple[Interpretation, ...], tuple[Interpretation, ...], tuple[Interpretation, ...]]:

@@ -102,7 +102,7 @@ class _Token:
     position: int
 
 
-_MODAL_LEXEMES = ("<>1", "<>2", "[]1", "[]2")
+_UNARY_NODES = {"~": Not, "<>1": Dia1, "[]1": Box1, "<>2": Dia2, "[]2": Box2}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -125,7 +125,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise FormulaSyntaxError("expected '->'", i)
         if c in "<[":
             lexeme = text[i : i + 3]
-            if lexeme in _MODAL_LEXEMES:
+            if lexeme in _UNARY_NODES:
                 tokens.append(_Token(lexeme, None, i))
                 i += 3
                 continue
@@ -152,9 +152,6 @@ def _tokenize(text: str) -> list[_Token]:
         raise FormulaSyntaxError(f"unexpected character {c!r}", i)
     tokens.append(_Token("end", None, end))
     return tokens
-
-
-_UNARY_NODES = {"~": Not, "<>1": Dia1, "[]1": Box1, "<>2": Dia2, "[]2": Box2}
 
 
 class _Parser:
@@ -227,9 +224,12 @@ def parse(text: str) -> Formula:
     return result
 
 
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
+_PREC_UNARY = 4
 
-_UNARY_PREFIXES = {Not: "~", Dia1: "<>1 ", Box1: "[]1 ", Dia2: "<>2 ", Box2: "[]2 "}
+_UNARY_PREFIXES = {node: lexeme if lexeme == "~" else lexeme + " " for lexeme, node in _UNARY_NODES.items()}
+
+# symbol, precedence, and whether the connective associates to the right
+_BINARY_SYNTAX = {And: (" & ", 3, False), Or: (" | ", 2, False), Implies: (" -> ", 1, True)}
 
 
 def render(formula: Formula) -> str:
@@ -245,15 +245,12 @@ def _render(formula: Formula, min_prec: int) -> str:
     prefix = _UNARY_PREFIXES.get(type(formula))
     if prefix is not None:
         return _wrap(prefix + _render(formula.operand, _PREC_UNARY), _PREC_UNARY, min_prec)
-    if isinstance(formula, And):
-        text = _render(formula.left, _PREC_AND) + " & " + _render(formula.right, _PREC_AND + 1)
-        return _wrap(text, _PREC_AND, min_prec)
-    if isinstance(formula, Or):
-        text = _render(formula.left, _PREC_OR) + " | " + _render(formula.right, _PREC_OR + 1)
-        return _wrap(text, _PREC_OR, min_prec)
-    if isinstance(formula, Implies):
-        text = _render(formula.left, _PREC_IMPLIES + 1) + " -> " + _render(formula.right, _PREC_IMPLIES)
-        return _wrap(text, _PREC_IMPLIES, min_prec)
+    binary = _BINARY_SYNTAX.get(type(formula))
+    if binary is not None:
+        symbol, prec, right_assoc = binary
+        left = _render(formula.left, prec + 1 if right_assoc else prec)
+        right = _render(formula.right, prec if right_assoc else prec + 1)
+        return _wrap(left + symbol + right, prec, min_prec)
     raise TypeError(f"not a formula node: {formula!r}")
 
 

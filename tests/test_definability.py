@@ -129,7 +129,7 @@ def test_forbidden_family_box1_matches_shape_templates():
         rest = [w for w in worlds if w != alone]
         family.add(Ranking.from_level_sets(1, rest, [], [alone]))
         family.add(Ranking.from_level_sets(1, [alone], [], rest))
-    assert forbidden_family_box1(1) == family
+    assert forbidden_family_box1() == family
     assert len(family) == 10
 
 
@@ -161,26 +161,19 @@ def test_forbidden_family_box2_matches_shape_templates():
         rest = [w for w in worlds if w != alone]
         family.add(Ranking.from_level_sets(1, [alone], rest, []))
         family.add(Ranking.from_level_sets(1, [], rest, [alone]))
-    assert forbidden_family_box2(1) == family
+    assert forbidden_family_box2() == family
     assert len(family) == 15
 
 
 def test_forbidden_family_membership_examples():
-    f1 = forbidden_family_box1(1)
+    f1 = forbidden_family_box1()
     assert serial("312") in f1
     assert serial("311") in f1
     assert X0_RANKING not in f1
-    f2 = forbidden_family_box2(1)
+    f2 = forbidden_family_box2()
     assert serial("222") in f2
     assert serial("122") in f2
     assert X0_RANKING not in f2
-
-
-def test_forbidden_families_require_one_variable():
-    with pytest.raises(ValueError):
-        forbidden_family_box1(2)
-    with pytest.raises(ValueError):
-        forbidden_family_box2(2)
 
 
 def test_nondefinability_box1():

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -256,10 +259,40 @@ def test_iterated_box1_is_a_tautology(f):
     assert is_tautology(Box1(Box1(f)), 2)
 
 
+_UNARY_ROWS = {Not: ref.NOT_ROWS, Dia1: ref.DIA1_ROWS, Box1: ref.BOX1_ROWS, Dia2: ref.DIA2_ROWS, Box2: ref.BOX2_ROWS}
+_BINARY_ROWS = {And: ref.AND_ROWS, Or: ref.OR_ROWS, Implies: ref.IMPLIES_ROWS}
+
+
+def reference_value(f, w):
+    """Symbol of ``f`` at ``w`` (a tuple of symbols), read off the reference rows."""
+    if isinstance(f, Var):
+        return w[f.index]
+    if isinstance(f, Bot):
+        return "0"
+    if type(f) in _UNARY_ROWS:
+        return dict(_UNARY_ROWS[type(f)])[reference_value(f.operand, w)]
+    rows = {(a, b): v for a, b, v in _BINARY_ROWS[type(f)]}
+    return rows[reference_value(f.left, w), reference_value(f.right, w)]
+
+
 @given(formulas(max_index=1))
-def test_value_profile_agrees_with_eval(f):
-    profile = value_profile(f, 2)
-    assert profile == tuple(eval_formula(f, w) for w in interpretations(2))
+def test_value_profile_agrees_with_reference_evaluator(f):
+    # canonical order: 0 < u < 1, position 0 most significant
+    worlds = itertools.product("0u1", repeat=2)
+    assert [v.symbol for v in value_profile(f, 2)] == [reference_value(f, w) for w in worlds]
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    # a cycle would keep each call's memo alive until the cyclic collector ran
+    f = Implies(And(Var(0), Dia1(Var(1))), Not(Box2(Var(0))))
+    gc.disable()
+    try:
+        gc.collect()
+        value_profile(f, 2)
+        eval_formula(f, (U, T))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_value_profile_shared_memo():

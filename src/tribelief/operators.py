@@ -172,21 +172,31 @@ def check_characterization(
         raise ValueError("characterization needs at least one variable")
     if pairs is None:
         rankings = tuple(all_rankings(n))
-        pair_iter: Iterable[tuple[Ranking, Ranking]] = itertools.product(rankings, repeat=2)
-    else:
-        pair_iter = pairs
+        pairs = itertools.product(rankings, repeat=2)
     seed = _capture_profile_seed(n)
+    return _characterize(table, n, ((r_old, r_new, dict(seed)) for r_old, r_new in pairs))
+
+
+def _characterize(
+    table: OperatorTable, n: int, pairs: Iterable[tuple[Ranking, Ranking, dict]]
+) -> CharacterizationResult:
+    """check_characterization over (old, new, memo) triples.
+
+    Each memo holds profiles at size ``n`` for its pair and may be shared
+    with other tables' checks of the same pair: the cell formulas and
+    Or-chain prefixes of the postulates are the same nodes for every table,
+    so they are evaluated once per memo.
+    """
     covered: set[tuple[int, int]] = set()
     checked = 0
 
     def fail(reason: str) -> CharacterizationResult:
         return CharacterizationResult(table, n, checked, failure=reason)
 
-    for r_old, r_new in pair_iter:
+    for r_old, r_new, memo in pairs:
         checked += 1
         f = formula_of_ranking(r_old)
         g = formula_of_ranking(r_new)
-        memo = dict(seed)
         combined = apply_semantic(table, r_old, r_new)
         profiles = []
         for target in LEVELS:
@@ -236,11 +246,15 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     keeping the full 3**9 sweep tractable.  ``tables`` narrows the sweep.
     """
     pairs = covering_ranking_pairs(n)
+    seed = _capture_profile_seed(n)
+    # one memo per pair for the whole sweep, so each table only evaluates
+    # the Or-chain nodes that no earlier table built
+    shared = [(r_old, r_new, dict(seed)) for r_old, r_new in pairs]
     failures = []
     total = 0
     for table in tables if tables is not None else all_tables():
         total += 1
-        result = check_characterization(table, n, pairs=pairs)
+        result = _characterize(table, n, shared)
         if not result:
             failures.append((table.serialize(), result.failure))
     return SweepResult(n, total, tuple(failures))

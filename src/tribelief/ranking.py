@@ -194,7 +194,7 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
     return out
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=32)
 def formula_of_ranking(r: Ranking) -> Formula:
     """A formula inducing exactly the ranking ``r``.
 

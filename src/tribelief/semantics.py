@@ -127,9 +127,9 @@ def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> t
     A module-level function rather than a closure, so a call leaves no
     reference cycle holding ``memo`` until the cyclic collector runs.
     """
-    entry = memo.get(id(node))
-    if entry is not None:
-        return entry[1]
+    profile = memo.get(node)
+    if profile is not None:
+        return profile
     kind = type(node)
     row = UNARY_TABLES.get(kind)
     if row is not None:
@@ -146,7 +146,7 @@ def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> t
         profile = (F,) * len(worlds)
     else:
         raise TypeError(f"not a formula node: {node!r}")
-    memo[id(node)] = (node, profile)
+    memo[node] = profile
     return profile
 
 
@@ -158,9 +158,10 @@ def eval_formula(formula: Formula, w: Interpretation) -> TruthValue:
 def value_profile(formula: Formula, n: int, memo: dict | None = None) -> tuple[TruthValue, ...]:
     """Values of ``formula`` at every interpretation of ``interpretations(n)``.
 
-    ``memo`` is an id-keyed cache of subtree profiles; pass the same dict
-    across calls to avoid re-evaluating shared subtrees.  Entries pin their
-    node, so a live memo never hands back a stale profile.
+    ``memo`` caches subformula profiles keyed by node; pass the same dict
+    across calls at the same ``n`` to avoid re-evaluating shared subformulas.
+    Nodes are hash-consed, so an equal subformula built later hits the entry
+    of an earlier one.
     """
     return _profile(formula, interpretations(n), {} if memo is None else memo)
 

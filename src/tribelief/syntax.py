@@ -9,8 +9,14 @@ Unary operators bind tightest, then ``&``, then ``|``, then ``->``.  The
 binary connectives ``&`` and ``|`` associate to the left, ``->`` to the
 right.  ``render`` emits minimal parentheses and round-trips through
 ``parse``.
+
+Formula nodes are hash-consed: structurally equal formulas are one object,
+so ``==`` and ``hash`` are identity and a cache keyed by node hits every
+copy of a subformula, wherever and whenever it was built.
 """
 
+import operator
+import weakref
 from dataclasses import dataclass
 
 
@@ -23,7 +29,31 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    """Base class for formula nodes; nodes are immutable and compare structurally."""
+    """Base class for formula nodes.
+
+    Nodes are immutable and hash-consed: each constructor looks its
+    arguments up in one weak unique table, so structurally equal formulas
+    are the same object, and ``==`` and ``hash`` are identity, O(1) at any
+    depth.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # which hands back the interned node
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __invert__(self) -> "Not":
         return Not(self)
@@ -38,61 +68,115 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
+# The unique table: (class, id of each child) or (Var, index) -> a weak
+# reference to the one live node with that content.  A live node keeps its
+# children alive, so the ids in its key cannot be reused while it lives.
+# The references carry no callback, which keeps a new node cheap: a dead
+# entry is overwritten when its key comes up again, and all dead entries are
+# purged whenever the table has doubled since the last purge.
+_UNIQUE: dict[tuple, weakref.ref] = {}
+_PURGE_FLOOR = 1024
+_purge_at = _PURGE_FLOOR
+
+
+def _absent() -> None:
+    return None
+
+
+def _new_node(cls: type, key: tuple) -> Formula:
+    """An empty node of ``cls``, entered in the unique table under ``key``.
+
+    Constructors look their key up inline, since a hit is the common case;
+    on a miss they call this and then set the new node's fields.
+    """
+    global _purge_at
+    node = object.__new__(cls)
+    _UNIQUE[key] = weakref.ref(node)
+    if len(_UNIQUE) >= _purge_at:
+        for dead in [k for k, ref in _UNIQUE.items() if ref() is None]:
+            del _UNIQUE[dead]
+        _purge_at = max(2 * len(_UNIQUE), _PURGE_FLOOR)
+    return node
+
+
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        return _UNIQUE.get(key, _absent)() or _new_node(cls, key)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    index: int
+    __slots__ = _fields = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("variable index must be non-negative")
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+    def __new__(cls, index: int):
+        index = operator.index(index)
+        key = (cls, index)
+        node = _UNIQUE.get(key, _absent)()
+        if node is None:
+            if index < 0:
+                raise ValueError("variable index must be non-negative")
+            node = _new_node(cls, key)
+            object.__setattr__(node, "index", index)
+        return node
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("operand",)
+
+    def __new__(cls, operand: Formula):
+        key = (cls, id(operand))
+        node = _UNIQUE.get(key, _absent)()
+        if node is None:
+            node = _new_node(cls, key)
+            object.__setattr__(node, "operand", operand)
+        return node
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, id(left), id(right))
+        node = _UNIQUE.get(key, _absent)()
+        if node is None:
+            node = _new_node(cls, key)
+            object.__setattr__(node, "left", left)
+            object.__setattr__(node, "right", right)
+        return node
 
 
-@dataclass(frozen=True)
-class Dia1(Formula):
-    operand: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box1(Formula):
-    operand: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dia2(Formula):
-    operand: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box2(Formula):
-    operand: Formula
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Dia1(_Unary):
+    __slots__ = ()
+
+
+class Box1(_Unary):
+    __slots__ = ()
+
+
+class Dia2(_Unary):
+    __slots__ = ()
+
+
+class Box2(_Unary):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

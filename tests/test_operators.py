@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tribelief import operators
 from tribelief import (
     And,
     Bot,
@@ -238,6 +239,41 @@ def test_sweep_sample_of_tables():
     assert result.ok
     assert result.total == 102
     assert result.failures == ()
+
+
+def _seeded_block(seed, size=500):
+    return random.Random(seed).sample(list(all_tables()), size)
+
+
+def test_sweep_agrees_with_fresh_memo_checks():
+    # the sweep shares one memo per pair across its tables; each check here starts afresh
+    block = _seeded_block(20261)
+    swept = sweep_all_tables(1, tables=block)
+    pairs = covering_ranking_pairs(1)
+    fresh = [check_characterization(t, 1, pairs=pairs) for t in block]
+    assert swept.total == len(block)
+    assert all(fresh)
+    assert dict(swept.failures) == {t.serialize(): r.failure for t, r in zip(block, fresh) if not r}
+
+
+def test_sweep_reports_a_planted_defect_behind_warm_memos(monkeypatch):
+    block = _seeded_block(4242)
+    bad = block[450]
+    # its wrong postulates are another table's, built and evaluated early in the block
+    other = OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,))
+    block = [t for t in block if t != other]
+    block.insert(10, other)
+    real = operators.postulate_formula
+
+    def planted(table, target, f, g):
+        return real(other if table == bad else table, target, f, g)
+
+    monkeypatch.setattr(operators, "postulate_formula", planted)
+    result = sweep_all_tables(1, tables=block)
+    assert [serial for serial, _ in result.failures] == [bad.serialize()]
+    assert result.total == len(block)
+    fresh = check_characterization(bad, 1, pairs=covering_ranking_pairs(1))
+    assert result.failures[0][1] == fresh.failure
 
 
 def test_ci_is_self_dual():

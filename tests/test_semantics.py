@@ -275,11 +275,12 @@ def reference_value(f, w):
     return rows[reference_value(f.left, w), reference_value(f.right, w)]
 
 
-@given(formulas(max_index=1))
-def test_value_profile_agrees_with_reference_evaluator(f):
+@given(formulas(max_index=1), formulas(max_index=2))
+def test_value_profile_agrees_with_reference_evaluator(f2, f3):
     # canonical order: 0 < u < 1, position 0 most significant
-    worlds = itertools.product("0u1", repeat=2)
-    assert [v.symbol for v in value_profile(f, 2)] == [reference_value(f, w) for w in worlds]
+    for n, f in ((2, f2), (3, f3)):
+        worlds = itertools.product("0u1", repeat=n)
+        assert [v.symbol for v in value_profile(f, n)] == [reference_value(f, w) for w in worlds]
 
 
 def test_evaluation_leaves_no_reference_cycles():
@@ -300,9 +301,15 @@ def test_value_profile_shared_memo():
     f = And(Var(0), Not(Var(0)))
     first = value_profile(f, 1, memo)
     assert value_profile(f, 1, memo) == first
-    # subtrees land in the memo too and each entry pins its node
-    assert id(f) in memo
-    assert all(entry[0] is not None for entry in memo.values())
+    # the memo is keyed by node, and subformulas land in it too
+    assert f in memo and Not(Var(0)) in memo
+    assert memo[f] == first
+    # an equal formula built separately is the same node, so it hits the entry
+    size = len(memo)
+    again = And(Var(0), Not(Var(0)))
+    assert again in memo
+    assert value_profile(again, 1, memo) is first
+    assert len(memo) == size
 
 
 def test_value_profile_out_of_range_variable():

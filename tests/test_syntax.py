@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from tribelief import (
     parse,
     render,
 )
+from tribelief import syntax
 from strategies import formulas
 
 
@@ -165,3 +169,57 @@ def test_parser_is_total(text):
         parse(text)
     except FormulaSyntaxError:
         pass
+
+
+def test_equal_formulas_are_one_object():
+    assert Var(0) is Var(0)
+    assert Bot() is Bot()
+    first = Implies(And(Var(0), Dia1(Var(1))), Not(Box2(Bot())))
+    second = Implies(And(Var(0), Dia1(Var(1))), Not(Box2(Bot())))
+    assert first is second
+    assert Not(Var(0)) is not Dia1(Var(0))
+    assert And(Var(0), Var(1)) is not And(Var(1), Var(0))
+
+
+@given(formulas(max_index=3))
+def test_parse_render_returns_the_same_node(f):
+    assert parse(render(f)) is f
+
+
+@given(formulas(max_index=3))
+def test_copy_deepcopy_and_pickle_return_the_same_node(f):
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_nodes_are_immutable():
+    f = And(Var(0), Var(1))
+    with pytest.raises(AttributeError):
+        f.left = Var(2)
+    with pytest.raises(AttributeError):
+        f.cache = None
+    with pytest.raises(AttributeError):
+        del Var(0).index
+    assert f.left is Var(0)
+
+
+def test_repr_keeps_the_dataclass_form():
+    assert repr(And(Var(0), Not(Var(1)))) == "And(left=Var(index=0), right=Not(operand=Var(index=1)))"
+    assert repr(Bot()) == "Bot()"
+    assert repr(Box1(Implies(Var(2), Bot()))) == "Box1(operand=Implies(left=Var(index=2), right=Bot()))"
+
+
+def test_unique_table_is_weak_and_bounded():
+    table = syntax._UNIQUE
+
+    def live():
+        return sum(ref() is not None for ref in table.values())
+
+    before = live()
+    for i in range(100_000):
+        And(Var(i), Not(Var(i + 1)))  # distinct, and dropped at once
+    after = live()
+    assert after <= before  # the table pins none of them
+    # the table purges its dead entries whenever it has doubled
+    assert len(table) <= 2 * after + syntax._PURGE_FLOOR

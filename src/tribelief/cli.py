@@ -44,20 +44,6 @@ def _formula(text: str) -> Formula:
         raise CliError(f"bad formula: {exc}") from None
 
 
-def _interp(text: str, n: int):
-    try:
-        return parse_interpretation(text, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _table(text: str) -> OperatorTable:
-    try:
-        return OperatorTable.parse(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _checked(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -71,7 +57,7 @@ def _literal(w) -> str:
 
 def _cmd_eval(args) -> tuple[list[str], int]:
     f = _formula(args.formula)
-    w = _interp(args.at, args.n)
+    w = _checked(parse_interpretation, args.at, args.n)
     value = _checked(eval_formula, f, w)
     return [value.symbol], 0
 
@@ -92,7 +78,7 @@ def _cmd_classify(args) -> tuple[list[str], int]:
 
 
 def _cmd_capture(args) -> tuple[list[str], int]:
-    worlds = [_interp(text, args.n) for text in args.interpretation]
+    worlds = [_checked(parse_interpretation, text, args.n) for text in args.interpretation]
     f = _checked(capture_set, worlds, args.n)
     return [render(f)], 0
 
@@ -112,7 +98,7 @@ def _cmd_encode_ranking(args) -> tuple[list[str], int]:
 
 
 def _cmd_revise(args) -> tuple[list[str], int]:
-    table = _table(args.op)
+    table = _checked(OperatorTable.parse, args.op)
     f = _formula(args.old)
     g = _formula(args.new)
     revised = _checked(revise, table, f, g, args.n)
@@ -134,7 +120,7 @@ def _cmd_check_ci(args) -> tuple[list[str], int]:
 
 
 def _cmd_check_charac(args) -> tuple[list[str], int]:
-    table = _table(args.op)
+    table = _checked(OperatorTable.parse, args.op)
     result = _checked(check_characterization, table, args.n)
     if result.ok:
         return [f"table {table.serialize()}: characterization PASS ({result.pairs_checked} pair(s))"], 0
@@ -232,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         lines, code = args.handler(args)
     except CliError as exc:
         print(f"tri: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("tri: error: input too deeply nested", file=sys.stderr)
         return 2
     for line in lines:
         print(line)

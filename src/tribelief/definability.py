@@ -77,12 +77,12 @@ def closure(generators: Iterable[Ranking], ops: Iterable[PreorderOp]) -> frozens
     op_set = frozenset(ops)
     unary = [op for op in (PreorderOp.NEG, PreorderOp.BOX1, PreorderOp.BOX2) if op in op_set]
     binary = [op for op in (PreorderOp.JOIN, PreorderOp.MEET) if op in op_set]
-    queue = deque(sorted(members, key=Ranking.serialize))
+    queue = deque(members)
     while queue:
         r = queue.popleft()
         produced = [apply_op(op, r) for op in unary]
         for op in binary:
-            for other in sorted(members, key=Ranking.serialize):
+            for other in members:
                 produced.append(apply_op(op, r, other))
                 produced.append(apply_op(op, other, r))
         for candidate in produced:

@@ -124,29 +124,47 @@ def parse_interpretation(text: str, n: int) -> Interpretation:
 def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> tuple[TruthValue, ...]:
     """Values of ``node`` at each of ``worlds``, read off the connective tables.
 
-    A module-level function rather than a closure, so a call leaves no
-    reference cycle holding ``memo`` until the cyclic collector runs.
+    Walks a path down to the first operand not yet in ``memo``, so nesting
+    depth is bounded by memory alone.  A module-level function rather than a
+    closure, so a call leaves no reference cycle holding ``memo`` until the
+    cyclic collector runs.
     """
-    profile = memo.get(node)
+    memo_get, unary_tables, binary_tables = memo.get, UNARY_TABLES, BINARY_TABLES
+    profile = memo_get(node)
     if profile is not None:
         return profile
-    kind = type(node)
-    row = UNARY_TABLES.get(kind)
-    if row is not None:
-        profile = tuple([row[v] for v in _profile(node.operand, worlds, memo)])
-    elif kind in BINARY_TABLES:
-        left = _profile(node.left, worlds, memo)
-        profile = tuple(map(BINARY_TABLES[kind], left, _profile(node.right, worlds, memo)))
-    elif kind is Var:
-        n = len(worlds[0])
-        if node.index >= n:
-            raise ValueError(f"variable x{node.index} out of range for {n} variable(s)")
-        profile = tuple([w[node.index] for w in worlds])
-    elif kind is Bot:
-        profile = (F,) * len(worlds)
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-    memo[node] = profile
+    path = [node]
+    while path:
+        node = path[-1]
+        kind = type(node)
+        row = unary_tables.get(kind)
+        if row is not None:
+            operand = memo_get(node.operand)
+            if operand is None:
+                path.append(node.operand)
+                continue
+            profile = tuple([row[v] for v in operand])
+        elif (combine := binary_tables.get(kind)) is not None:
+            left = memo_get(node.left)
+            if left is None:
+                path.append(node.left)
+                continue
+            right = memo_get(node.right)
+            if right is None:
+                path.append(node.right)
+                continue
+            profile = tuple(map(combine, left, right))
+        elif kind is Var:
+            n = len(worlds[0])
+            if node.index >= n:
+                raise ValueError(f"variable x{node.index} out of range for {n} variable(s)")
+            profile = tuple([w[node.index] for w in worlds])
+        elif kind is Bot:
+            profile = (F,) * len(worlds)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        memo[node] = profile
+        path.pop()
     return profile
 
 

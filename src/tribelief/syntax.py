@@ -238,105 +238,99 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.kind != "end":
-            self._pos += 1
-        return token
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self._peek().kind == "->":
-            self._advance()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        expr = self.conjunction()
-        while self._peek().kind == "|":
-            self._advance()
-            expr = Or(expr, self.conjunction())
-        return expr
-
-    def conjunction(self) -> Formula:
-        expr = self.unary()
-        while self._peek().kind == "&":
-            self._advance()
-            expr = And(expr, self.unary())
-        return expr
-
-    def unary(self) -> Formula:
-        token = self._peek()
-        node = _UNARY_NODES.get(token.kind)
-        if node is not None:
-            self._advance()
-            return node(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        token = self._advance()
-        if token.kind == "bot":
-            return Bot()
-        if token.kind == "var":
-            return Var(token.value)
-        if token.kind == "(":
-            inner = self.formula()
-            closing = self._advance()
-            if closing.kind != ")":
-                raise FormulaSyntaxError("expected ')'", closing.position)
-            return inner
-        if token.kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", token.position)
-        raise FormulaSyntaxError(f"unexpected {token.kind!r}", token.position)
-
-
 def parse(text: str) -> Formula:
-    """Parse formula text into its AST, raising FormulaSyntaxError on bad input."""
-    parser = _Parser(_tokenize(text))
-    result = parser.formula()
-    trailing = parser._peek()
-    if trailing.kind != "end":
-        raise FormulaSyntaxError(f"unexpected {trailing.kind!r} after formula", trailing.position)
-    return result
+    """Parse formula text into its AST, raising FormulaSyntaxError on bad input.
+
+    One operator-precedence loop over explicit stacks, so nesting depth is
+    bounded by memory alone.
+    """
+    operands: list[Formula] = []
+    pending = [_OPEN]  # connectives and open parentheses not yet applied
+    tokens = iter(_tokenize(text))
+    # the outer loop reads where an operand starts, the inner one what follows it
+    for token in tokens:
+        kind = token.kind
+        prefix = _PREFIX_TOKENS.get(kind)
+        if prefix is not None:
+            pending.append(prefix)
+            continue
+        if kind == "bot":
+            operands.append(Bot())
+        elif kind == "var":
+            operands.append(Var(token.value))
+        elif kind == "end":
+            raise FormulaSyntaxError("unexpected end of input", token.position)
+        else:
+            raise FormulaSyntaxError(f"unexpected {kind!r}", token.position)
+        for token in tokens:
+            kind = token.kind
+            node, prec, right_assoc = _BINARY_TOKENS.get(kind, _CLOSE)
+            # apply what binds tighter than the connective just read
+            while pending[-1][1] > prec or (pending[-1][1] == prec and not right_assoc):
+                applied, applied_prec, _ = pending.pop()
+                if applied_prec == _PREC_UNARY:
+                    operands[-1] = applied(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = applied(operands[-1], right)
+            if node is not None:
+                pending.append((node, prec, right_assoc))
+                break
+            if len(pending) > 1:
+                if kind != ")":
+                    raise FormulaSyntaxError("expected ')'", token.position)
+                pending.pop()
+            elif kind == "end":
+                return operands[0]
+            else:
+                raise FormulaSyntaxError(f"unexpected {kind!r} after formula", token.position)
 
 
 _PREC_UNARY = 4
 
 _UNARY_PREFIXES = {node: lexeme if lexeme == "~" else lexeme + " " for lexeme, node in _UNARY_NODES.items()}
 
-# symbol, precedence, and whether the connective associates to the right
+# symbol, precedence, and whether the connective associates to the right;
+# the printer reads it directly, the parser through _BINARY_TOKENS
 _BINARY_SYNTAX = {And: (" & ", 3, False), Or: (" | ", 2, False), Implies: (" -> ", 1, True)}
+
+_BINARY_TOKENS = {symbol.strip(): (node, prec, right) for node, (symbol, prec, right) in _BINARY_SYNTAX.items()}
+
+# The parser's mark for the bottom of its stack and each open parenthesis.
+# Any other token read after an operand acts as _CLOSE: it applies every
+# connective above the mark.
+_OPEN = _CLOSE = (None, 0, True)
+
+_PREFIX_TOKENS = {"(": _OPEN} | {lexeme: (node, _PREC_UNARY, False) for lexeme, node in _UNARY_NODES.items()}
 
 
 def render(formula: Formula) -> str:
     """Minimally parenthesized text; ``parse(render(f)) == f``."""
-    return _render(formula, 0)
-
-
-def _render(formula: Formula, min_prec: int) -> str:
-    if isinstance(formula, Bot):
-        return "bot"
-    if isinstance(formula, Var):
-        return f"x{formula.index}"
-    prefix = _UNARY_PREFIXES.get(type(formula))
-    if prefix is not None:
-        return _wrap(prefix + _render(formula.operand, _PREC_UNARY), _PREC_UNARY, min_prec)
-    binary = _BINARY_SYNTAX.get(type(formula))
-    if binary is not None:
-        symbol, prec, right_assoc = binary
-        left = _render(formula.left, prec + 1 if right_assoc else prec)
-        right = _render(formula.right, prec if right_assoc else prec + 1)
-        return _wrap(left + symbol + right, prec, min_prec)
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
-def _wrap(text: str, prec: int, min_prec: int) -> str:
-    return f"({text})" if prec < min_prec else text
+    pieces: list[str] = []
+    work: list = [(formula, 0)]  # text, or a node and the precedence its context needs
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, min_prec = item
+        kind = type(node)
+        if kind is Var:
+            pieces.append(f"x{node.index}")
+        elif kind is Bot:
+            pieces.append("bot")
+        elif kind in _UNARY_PREFIXES:
+            # unary connectives bind tightest, so they never need parentheses
+            pieces.append(_UNARY_PREFIXES[kind])
+            work.append((node.operand, _PREC_UNARY))
+        elif kind in _BINARY_SYNTAX:
+            symbol, prec, right_assoc = _BINARY_SYNTAX[kind]
+            if prec < min_prec:
+                pieces.append("(")
+                work.append(")")
+            work.append((node.right, prec if right_assoc else prec + 1))
+            work.append(symbol)
+            work.append((node.left, prec + 1 if right_assoc else prec))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return "".join(pieces)

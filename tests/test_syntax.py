@@ -19,9 +19,10 @@ from tribelief import (
     Var,
     parse,
     render,
+    value_profile,
 )
 from tribelief import syntax
-from strategies import formulas
+from strategies import formula_texts, formulas
 
 
 def test_parse_conjunction_with_negation():
@@ -223,3 +224,44 @@ def test_unique_table_is_weak_and_bounded():
     assert after <= before  # the table pins none of them
     # the table purges its dead entries whenever it has doubled
     assert len(table) <= 2 * after + syntax._PURGE_FLOOR
+
+
+@given(formula_texts())
+def test_mangled_text_parses_or_names_a_position(text):
+    try:
+        f = parse(text)
+    except FormulaSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse(render(f)) is f
+
+
+# chain links and their values at x0 = 0, u, 1, as plain integers
+_LINKS = ((Bot(), (0, 0, 0)), (Var(0), (0, 1, 2)), (Not(Var(0)), (2, 1, 0)))
+
+
+def _left_deep_or(length):
+    """x0 | a1 | ... | a_length, and its values computed by a plain loop."""
+    f, values = Var(0), [0, 1, 2]
+    for i in range(length):
+        link, link_values = _LINKS[i % 3]
+        f = Or(f, link)
+        values = [max(v, a) for v, a in zip(values, link_values)]
+    return f, values
+
+
+def _right_nested_implies(length):
+    """a_length -> ... -> a1 -> x0, and its values computed by a plain loop."""
+    f, values = Var(0), [0, 1, 2]
+    for i in range(length):
+        link, link_values = _LINKS[i % 3]
+        f = Implies(link, f)
+        values = [max(2 - a, v) for v, a in zip(values, link_values)]
+    return f, values
+
+
+@pytest.mark.parametrize("chain", [_left_deep_or, _right_nested_implies])
+def test_long_chains_round_trip_and_evaluate(chain):
+    f, values = chain(5000)
+    assert parse(render(f)) is f
+    assert list(value_profile(f, 1)) == values

@@ -47,13 +47,44 @@ class Formula:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __reduce__(self):
-        # copy, deepcopy and unpickling rebuild through the constructor,
-        # which hands back the interned node
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        # copy, deepcopy and unpickling rebuild through the constructors,
+        # which hand back the interned node; the plan lists each distinct
+        # node once, after its children, so it is flat and as small as the DAG
+        position: dict[Formula, int] = {}
+        plan: list[tuple] = []
+        work: list[Formula] = [self]
+        while work:
+            node = work[-1]
+            if node in position:
+                work.pop()
+                continue
+            values = [getattr(node, name) for name in node._fields]
+            waiting = [v for v in values if isinstance(v, Formula) and v not in position]
+            if waiting:
+                work.extend(waiting)
+                continue
+            work.pop()
+            position[node] = len(plan)
+            plan.append((type(node), *(position[v] if isinstance(v, Formula) else v for v in values)))
+        return _rebuild, (plan,)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        pieces: list[str] = []
+        work: list = [self]  # text, or a node still to write
+        while work:
+            item = work.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            pieces.append(f"{type(item).__name__}(")
+            fields: list = []
+            for name in item._fields:
+                value = getattr(item, name)
+                fields.append(f", {name}=" if fields else f"{name}=")
+                fields.append(value if isinstance(value, Formula) else repr(value))
+            work.append(")")
+            work.extend(reversed(fields))
+        return "".join(pieces)
 
     def __invert__(self) -> "Not":
         return Not(self)
@@ -97,6 +128,14 @@ def _new_node(cls: type, key: tuple) -> Formula:
             del _UNIQUE[dead]
         _purge_at = max(2 * len(_UNIQUE), _PURGE_FLOOR)
     return node
+
+
+def _rebuild(plan: list[tuple]) -> Formula:
+    """The node a ``Formula.__reduce__`` plan describes: its last entry."""
+    built: list[Formula] = []
+    for cls, *args in plan:
+        built.append(cls(*args) if cls is Var else cls(*(built[k] for k in args)))
+    return built[-1]
 
 
 class Bot(Formula):

@@ -325,10 +325,13 @@ def test_console_script_installed(tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, wherever pytest found it
+    source = str(Path(tribelief.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "tribelief", "revise", "-n", "1", "--op", "ci", "x0", "~x0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))),
     )
     assert proc.returncode == 0
     assert proc.stdout == "0:2 u:2 1:2\n"

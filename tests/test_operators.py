@@ -12,6 +12,7 @@ from tribelief import (
     CI_POSTULATE_NAMES,
     Not,
     OperatorTable,
+    Or,
     Ranking,
     TruthValue,
     Var,
@@ -31,8 +32,10 @@ from tribelief import (
     interpretations,
     level_indicator,
     level_of_value,
+    parse,
     postulate_formula,
     ranking_of_formula,
+    render,
     revise,
     sweep_all_tables,
     value_profile,
@@ -181,6 +184,42 @@ def test_postulate_formula_models_match_combined_levels():
     for target in (1, 2, 3):
         models, _, _ = classify(postulate_formula(t, target, f, g), 1)
         assert models == combined.level_set(target)
+
+
+def _old_postulate_chain(table, target, f, g):
+    """The postulate formula as built before cell conjunctions were shared:
+    each cell formula constructed afresh, then Or-chained left to right."""
+    cells = []
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            cell = And(level_indicator(f, i), level_indicator(g, j)) if table.k(i, j) == target else Bot()
+            assert cell_formula(table, i, j, target, f, g) is cell
+            cells.append(cell)
+    out = cells[0]
+    for cell in cells[1:]:
+        out = Or(out, cell)
+    return out
+
+
+def test_postulate_formula_matches_the_old_construction():
+    block = [ci_table(), drastic_table()] + _seeded_block(8080, 2000)
+    pairs = [(formula_of_ranking(a), formula_of_ranking(b)) for a, b in covering_ranking_pairs(1)]
+    for t in block:
+        for f, g in pairs:
+            for target in (1, 2, 3):
+                assert postulate_formula(t, target, f, g) is _old_postulate_chain(t, target, f, g)
+    for target in (0, 4):
+        with pytest.raises(ValueError):
+            postulate_formula(ci_table(), target, *pairs[0])
+
+
+def test_cell_conjunctions_are_shared_by_equal_inputs():
+    old, new = covering_ranking_pairs(1)[1]
+    f, g = formula_of_ranking(old), formula_of_ranking(new)
+    first = operators._cell_conjunctions(f, g)
+    assert len(first) == 9
+    # built again from text, the inputs are the same interned nodes
+    assert operators._cell_conjunctions(parse(render(f)), parse(render(g))) is first
 
 
 def test_postulate_formula_unreached_target_is_contradictory():

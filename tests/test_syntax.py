@@ -211,6 +211,35 @@ def test_repr_keeps_the_dataclass_form():
     assert repr(Box1(Implies(Var(2), Bot()))) == "Box1(operand=Implies(left=Var(index=2), right=Bot()))"
 
 
+def _recursive_repr(f):
+    fields = []
+    for name in f._fields:
+        value = getattr(f, name)
+        fields.append(f"{name}={_recursive_repr(value) if isinstance(value, syntax.Formula) else repr(value)}")
+    return f"{type(f).__name__}({', '.join(fields)})"
+
+
+@given(formulas(max_index=12))
+def test_repr_matches_the_field_by_field_form(f):
+    assert repr(f) == _recursive_repr(f)
+
+
+def test_deep_chain_reprs_copies_and_pickles():
+    f = parse("~" * 5000 + "x0")
+    assert repr(f) == "Not(operand=" * 5000 + "Var(index=0)" + ")" * 5000
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_pickle_is_as_small_as_the_dag():
+    f = Var(0)
+    for _ in range(40):
+        f = And(f, f)  # 41 distinct nodes, 2**40 leaves as a tree
+    data = pickle.dumps(f)
+    assert len(data) < 1024
+    assert pickle.loads(data) is f
+
+
 def test_unique_table_is_weak_and_bounded():
     table = syntax._UNIQUE
 

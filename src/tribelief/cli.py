@@ -84,14 +84,14 @@ def _cmd_capture(args) -> tuple[list[str], int]:
 
 
 def _cmd_encode_ranking(args) -> tuple[list[str], int]:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.file, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise CliError(str(exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(str(exc)) from None
     r = _checked(Ranking.from_lines, text)
     f = _checked(formula_of_ranking, r)
     return [render(f)], 0

@@ -138,6 +138,20 @@ def _capture_profile_seed(n: int) -> dict:
     return memo
 
 
+def _with_memos(
+    n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None
+) -> Iterator[tuple[Ranking, Ranking, dict]]:
+    """Each pair (by default every ranking pair at size n) with a fresh copy
+    of the capture profile seed as its memo; one memo for a whole check would
+    keep every pair's formulas alive."""
+    if pairs is None:
+        rankings = tuple(all_rankings(n))
+        pairs = itertools.product(rankings, repeat=2)
+    seed = _capture_profile_seed(n)
+    for r_old, r_new in pairs:
+        yield r_old, r_new, dict(seed)
+
+
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
     """A small set of ranking pairs whose worlds hit all nine level cells."""
     if n < 1:
@@ -184,11 +198,7 @@ def check_characterization(
     """
     if n < 1:
         raise ValueError("characterization needs at least one variable")
-    if pairs is None:
-        rankings = tuple(all_rankings(n))
-        pairs = itertools.product(rankings, repeat=2)
-    seed = _capture_profile_seed(n)
-    return _characterize(table, n, ((r_old, r_new, dict(seed)) for r_old, r_new in pairs))
+    return _characterize(table, n, _with_memos(n, pairs))
 
 
 def _characterize(
@@ -259,11 +269,9 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     Uses the covering pairs only: that exercises every table cell while
     keeping the full 3**9 sweep tractable.  ``tables`` narrows the sweep.
     """
-    pairs = covering_ranking_pairs(n)
-    seed = _capture_profile_seed(n)
     # one memo per pair for the whole sweep, so each table only evaluates
     # the Or-chain nodes that no earlier table built
-    shared = [(r_old, r_new, dict(seed)) for r_old, r_new in pairs]
+    shared = list(_with_memos(n, covering_ranking_pairs(n)))
     failures = []
     total = 0
     for table in tables if tables is not None else all_tables():
@@ -316,21 +324,14 @@ def check_ci_postulates(
     if n < 1:
         raise ValueError("the postulate suite needs at least one variable")
     table = ci_table()
-    if pairs is None:
-        rankings = tuple(all_rankings(n))
-        pair_iter: Iterable[tuple[Ranking, Ranking]] = itertools.product(rankings, repeat=2)
-    else:
-        pair_iter = pairs
-    seed = _capture_profile_seed(n)
     failures: dict[str, str] = {}
     checked = 0
 
     def combine(r_a: Ranking, r_b: Ranking) -> Formula:
         return formula_of_ranking(apply_semantic(table, r_a, r_b))
 
-    for r_old, r_new in pair_iter:
+    for r_old, r_new, memo in _with_memos(n, pairs):
         checked += 1
-        memo = dict(seed)
 
         def prof(h: Formula) -> tuple[TruthValue, ...]:
             return value_profile(h, n, memo)
@@ -372,11 +373,8 @@ def check_ci_postulates(
 
 
 def _equiv_gap(lhs_of, rhs_of, n: int) -> tuple[Ranking, Ranking, int] | None:
-    seed = _capture_profile_seed(n)
-    rankings = tuple(all_rankings(n))
     table = ci_table()
-    for r_old, r_new in itertools.product(rankings, repeat=2):
-        memo = dict(seed)
+    for r_old, r_new, memo in _with_memos(n):
         phi = formula_of_ranking(r_old)
         theta = formula_of_ranking(r_new)
         star = formula_of_ranking(apply_semantic(table, r_old, r_new))

@@ -3,7 +3,7 @@
 Connectives are ``~`` (negation), ``&`` (conjunction), ``|`` (disjunction),
 ``->`` (implication) and the four plausibility-shift modalities ``<>1``,
 ``[]1``, ``<>2``, ``[]2``.  ``bot`` is the always-false constant and
-variables are written ``x0``, ``x1``, ...
+variables are ``x`` followed by ASCII decimal digits: ``x0``, ``x1``, ...
 
 Unary operators bind tightest, then ``&``, then ``|``, then ``->``.  The
 binary connectives ``&`` and ``|`` associate to the left, ``->`` to the
@@ -16,8 +16,8 @@ copy of a subformula, wherever and whenever it was built.
 """
 
 import operator
+import re
 import weakref
-from dataclasses import dataclass
 
 
 class FormulaSyntaxError(ValueError):
@@ -218,63 +218,7 @@ class Box2(_Unary):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int | None
-    position: int
-
-
 _UNARY_NODES = {"~": Not, "<>1": Dia1, "[]1": Box1, "<>2": Dia2, "[]2": Box2}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, end = 0, len(text)
-    while i < end:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "&|()~":
-            tokens.append(_Token(c, None, i))
-            i += 1
-            continue
-        if c == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(_Token("->", None, i))
-                i += 2
-                continue
-            raise FormulaSyntaxError("expected '->'", i)
-        if c in "<[":
-            lexeme = text[i : i + 3]
-            if lexeme in _UNARY_NODES:
-                tokens.append(_Token(lexeme, None, i))
-                i += 3
-                continue
-            raise FormulaSyntaxError(f"unknown operator {lexeme!r}", i)
-        if c.isalpha():
-            j = i
-            while j < end and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "bot":
-                tokens.append(_Token("bot", None, i))
-                i = j
-                continue
-            if word == "x":
-                k = j
-                while k < end and text[k].isdigit():
-                    k += 1
-                if k == j:
-                    raise FormulaSyntaxError("variable index must be a decimal integer", j)
-                tokens.append(_Token("var", int(text[j:k]), i))
-                i = k
-                continue
-            raise FormulaSyntaxError(f"unknown word {word!r}", i)
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", None, end))
-    return tokens
 
 
 def parse(text: str) -> Formula:
@@ -287,8 +231,7 @@ def parse(text: str) -> Formula:
     pending = [_OPEN]  # connectives and open parentheses not yet applied
     tokens = iter(_tokenize(text))
     # the outer loop reads where an operand starts, the inner one what follows it
-    for token in tokens:
-        kind = token.kind
+    for kind, index, position in tokens:
         prefix = _PREFIX_TOKENS.get(kind)
         if prefix is not None:
             pending.append(prefix)
@@ -296,13 +239,12 @@ def parse(text: str) -> Formula:
         if kind == "bot":
             operands.append(Bot())
         elif kind == "var":
-            operands.append(Var(token.value))
+            operands.append(Var(index))
         elif kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", token.position)
+            raise FormulaSyntaxError("unexpected end of input", position)
         else:
-            raise FormulaSyntaxError(f"unexpected {kind!r}", token.position)
-        for token in tokens:
-            kind = token.kind
+            raise FormulaSyntaxError(f"unexpected {kind!r}", position)
+        for kind, index, position in tokens:
             node, prec, right_assoc = _BINARY_TOKENS.get(kind, _CLOSE)
             # apply what binds tighter than the connective just read
             while pending[-1][1] > prec or (pending[-1][1] == prec and not right_assoc):
@@ -317,12 +259,12 @@ def parse(text: str) -> Formula:
                 break
             if len(pending) > 1:
                 if kind != ")":
-                    raise FormulaSyntaxError("expected ')'", token.position)
+                    raise FormulaSyntaxError("expected ')'", position)
                 pending.pop()
             elif kind == "end":
                 return operands[0]
             else:
-                raise FormulaSyntaxError(f"unexpected {kind!r} after formula", token.position)
+                raise FormulaSyntaxError(f"unexpected {kind!r} after formula", position)
 
 
 _PREC_UNARY = 4
@@ -341,6 +283,56 @@ _BINARY_TOKENS = {symbol.strip(): (node, prec, right) for node, (symbol, prec, r
 _OPEN = _CLOSE = (None, 0, True)
 
 _PREFIX_TOKENS = {"(": _OPEN} | {lexeme: (node, _PREC_UNARY, False) for lexeme, node in _UNARY_NODES.items()}
+
+# A letter of a word: a word character other than a digit or "_".  That is
+# str.isalpha, and also numerals such as "²" or "Ⅷ".
+_LETTER = r"[^\W\d_]"
+
+# After any whitespace, one alternative per kind of token, then one per
+# lexical error; the first that matches is the match's lastgroup.  Some
+# alternative matches at every position, so the matches are contiguous up to
+# the empty "end" match.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<connective>"
+    + "|".join(re.escape(lexeme) for lexeme in (*_PREFIX_TOKENS, *_BINARY_TOKENS, ")"))
+    + rf")|(?P<bot>bot)(?!{_LETTER})|(?P<var>x[0-9]+)|(?P<end>\Z)"
+    + rf"|(?P<dash>-)|(?P<operator>[<\[].{{0,2}})|x(?P<index>)(?!{_LETTER})|(?P<word>{_LETTER}+)|(?P<character>.))",
+    re.DOTALL,
+)
+
+_LEXICAL_ERRORS = {
+    "dash": "expected '->'",
+    "operator": "unknown operator {!r}",
+    "index": "variable index must be a decimal integer",
+    "word": "unknown word {!r}",
+    "character": "unexpected character {!r}",
+}
+
+
+def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
+    """``(kind, variable index or None, position)`` for each token of ``text``,
+    ending with an ``"end"`` token.
+
+    The whole text is read before parsing starts, so a lexical error
+    anywhere is reported ahead of an earlier grammar error.
+    """
+    tokens: list[tuple[str, int | None, int]] = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        position = match.start(kind)
+        if kind == "connective":
+            tokens.append((match[kind], None, position))
+        elif kind == "var":
+            try:
+                tokens.append((kind, int(match[kind][1:]), position))
+            except ValueError:  # more digits than int() converts
+                raise FormulaSyntaxError("variable index has too many digits", position + 1) from None
+        elif kind in _LEXICAL_ERRORS:
+            raise FormulaSyntaxError(_LEXICAL_ERRORS[kind].format(match[kind]), position)
+        else:
+            tokens.append((kind, None, position))
+            if kind == "end":
+                return tokens
 
 
 def render(formula: Formula) -> str:

@@ -27,7 +27,7 @@ _LEXEME = re.compile(r"x\d+|bot|<>[12]|\[\][12]|->|[~&|()]|\s+")
 
 # lexemes of the grammar, then near misses the tokenizer must reject
 _INSERTED = ("x0", "x2", "x7", "bot", "~", "<>1", "[]2", "&", "|", "->", "(", ")", " ")
-_INSERTED += ("-", "<", "[", "<>3", "x", "y", "bo", "9", "!")
+_INSERTED += ("-", "<", "[", "<>3", "x", "y", "bo", "9", "!", "\u00b2", "\u0661", "1" * 4301)
 
 
 @st.composite

@@ -187,6 +187,14 @@ def test_encode_ranking_missing_file(capsys):
     assert err.startswith("tri: error:")
 
 
+def test_encode_ranking_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "ranking.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "encode-ranking", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("tri: error:") and err.count("\n") == 1
+
+
 def test_encode_ranking_bad_content(tmp_path, capsys):
     path = tmp_path / "ranking.txt"
     path.write_text("0 : 3\n0 : 1\nu : 2\n1 : 1\n", encoding="utf-8")

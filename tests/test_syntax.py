@@ -95,6 +95,15 @@ def test_variable_without_index():
         parse("x & x0")
 
 
+@pytest.mark.parametrize("index", ["\u00b2", "\u0661", "1" * 4301], ids=["superscript", "arabic", "long"])
+def test_variable_index_is_a_short_run_of_ascii_digits(index):
+    # "²" and "١" are digits to str.isdigit, and int() refuses more than
+    # sys.get_int_max_str_digits() digits
+    with pytest.raises(FormulaSyntaxError) as exc_info:
+        parse("x" + index)
+    assert exc_info.value.position <= 1
+
+
 def test_variable_index_must_follow_immediately():
     with pytest.raises(FormulaSyntaxError):
         parse("x 0")
@@ -107,6 +116,17 @@ def test_unknown_words_and_operators():
         parse("<>3 x0")
     with pytest.raises(FormulaSyntaxError):
         parse("x0 <- x1")
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [(")x0 <>3", "unknown operator '<>3' (at position 4)"), ("<>1)bo!&bo", "unknown word 'bo' (at position 4)")],
+)
+def test_lexical_error_wins_over_an_earlier_grammar_error(text, message):
+    # the whole text is tokenized before parsing starts
+    with pytest.raises(FormulaSyntaxError) as exc_info:
+        parse(text)
+    assert str(exc_info.value) == message
 
 
 def test_unbalanced_parentheses():

@@ -130,7 +130,7 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
 def _capture_profile_seed(n: int) -> dict:
     """Shared profile memo covering every capture formula at size n.
 
-    Callers must copy (``dict(seed)``) before passing it to value_profile.
+    Only ``_pair_memo`` reads it, and it copies it into each new pair's memo.
     """
     memo: dict = {}
     for w in interpretations(n):
@@ -138,18 +138,19 @@ def _capture_profile_seed(n: int) -> dict:
     return memo
 
 
-def _with_memos(
-    n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None
-) -> Iterator[tuple[Ranking, Ranking, dict]]:
-    """Each pair (by default every ranking pair at size n) with a fresh copy
-    of the capture profile seed as its memo; one memo for a whole check would
-    keep every pair's formulas alive."""
-    if pairs is None:
-        rankings = tuple(all_rankings(n))
-        pairs = itertools.product(rankings, repeat=2)
-    seed = _capture_profile_seed(n)
-    for r_old, r_new in pairs:
-        yield r_old, r_new, dict(seed)
+@lru_cache(maxsize=32)
+def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> dict:
+    """The profile memo of one ranking pair, seeded with the capture profiles.
+
+    Every check of the pair reads and extends this one dict: it is keyed by
+    node, so it holds correct profiles for any caller.  The cache is small,
+    like ``_cell_conjunctions``: the sweep's few covering pairs stay warm,
+    while an exhaustive check cycles through all pairs, so each in effect
+    gets a fresh memo and its formulas do not outlive it for long.
+    """
+    if r_old.n != n or r_new.n != n:
+        raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
+    return dict(_capture_profile_seed(n))
 
 
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
@@ -194,30 +195,24 @@ def check_characterization(
     must be exactly the level-k worlds of the combined ranking, and reading
     the postulates cell-wise must rebuild the table (each world satisfies the
     postulate formula of exactly one target, the one its cell maps to).  With
-    ``pairs=None`` all ranking pairs over interpretations(n) are checked.
+    ``pairs=None`` all ranking pairs over interpretations(n) are checked; a
+    pair over another variable count raises ``ValueError``.
+
+    Each pair's profiles go to its ``_pair_memo``, which every check of the
+    same pair shares: the cell formulas and Or-chain prefixes of the
+    postulates are the same nodes for every table, so a sweep evaluates each
+    of them once per pair.
     """
     if n < 1:
         raise ValueError("characterization needs at least one variable")
-    return _characterize(table, n, _with_memos(n, pairs))
-
-
-def _characterize(
-    table: OperatorTable, n: int, pairs: Iterable[tuple[Ranking, Ranking, dict]]
-) -> CharacterizationResult:
-    """check_characterization over (old, new, memo) triples.
-
-    Each memo holds profiles at size ``n`` for its pair and may be shared
-    with other tables' checks of the same pair: the cell formulas and
-    Or-chain prefixes of the postulates are the same nodes for every table,
-    so they are evaluated once per memo.
-    """
     covered: set[tuple[int, int]] = set()
     checked = 0
 
     def fail(reason: str) -> CharacterizationResult:
         return CharacterizationResult(table, n, checked, failure=reason)
 
-    for r_old, r_new, memo in pairs:
+    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        memo = _pair_memo(n, r_old, r_new)
         checked += 1
         f = formula_of_ranking(r_old)
         g = formula_of_ranking(r_new)
@@ -269,14 +264,12 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     Uses the covering pairs only: that exercises every table cell while
     keeping the full 3**9 sweep tractable.  ``tables`` narrows the sweep.
     """
-    # one memo per pair for the whole sweep, so each table only evaluates
-    # the Or-chain nodes that no earlier table built
-    shared = list(_with_memos(n, covering_ranking_pairs(n)))
+    pairs = covering_ranking_pairs(n)
     failures = []
     total = 0
     for table in tables if tables is not None else all_tables():
         total += 1
-        result = _characterize(table, n, shared)
+        result = check_characterization(table, n, pairs)
         if not result:
             failures.append((table.serialize(), result.failure))
     return SweepResult(n, total, tuple(failures))
@@ -319,7 +312,8 @@ def check_ci_postulates(
     CI1, CI2, CI1' and CI2' are model-set equalities; CI3, CI7 and CI8 are
     full truth-table identities; CI4 preserves satisfiability, CI5 is success
     and CI6 keeps old models at least undetermined.  ``pairs=None`` checks
-    every ranking pair over interpretations(n) exhaustively.
+    every ranking pair over interpretations(n) exhaustively; a pair over
+    another variable count raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("the postulate suite needs at least one variable")
@@ -330,7 +324,8 @@ def check_ci_postulates(
     def combine(r_a: Ranking, r_b: Ranking) -> Formula:
         return formula_of_ranking(apply_semantic(table, r_a, r_b))
 
-    for r_old, r_new, memo in _with_memos(n, pairs):
+    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        memo = _pair_memo(n, r_old, r_new)
         checked += 1
 
         def prof(h: Formula) -> tuple[TruthValue, ...]:
@@ -374,7 +369,8 @@ def check_ci_postulates(
 
 def _equiv_gap(lhs_of, rhs_of, n: int) -> tuple[Ranking, Ranking, int] | None:
     table = ci_table()
-    for r_old, r_new, memo in _with_memos(n):
+    for r_old, r_new in itertools.product(all_rankings(n), repeat=2):
+        memo = _pair_memo(n, r_old, r_new)
         phi = formula_of_ranking(r_old)
         theta = formula_of_ranking(r_new)
         star = formula_of_ranking(apply_semantic(table, r_old, r_new))

@@ -98,11 +98,20 @@ def _assert_clean_exit(code, out, err):
         assert err == ""
 
 
+_OPERATOR_TEXTS = st.one_of(
+    st.sampled_from(["ci", "drastic"]),
+    st.text("123", min_size=9, max_size=9),
+    st.text("0123", max_size=10),
+    st.text(max_size=12),
+)
+
+
 @st.composite
 def _formula_commands(draw):
-    command = draw(st.sampled_from(["eval", "table", "classify", "capture"]))
+    command = draw(st.sampled_from(["eval", "table", "classify", "capture", "revise"]))
     n = draw(st.integers(1, 3))
-    formula = draw(st.one_of(formulas(n - 1).map(render), formula_texts(), st.text(max_size=24)))
+    formula_text = st.one_of(formulas(n - 1).map(render), formula_texts(), st.text(max_size=24))
+    formula = draw(formula_text)
     world = st.one_of(st.lists(st.sampled_from("01u"), min_size=n, max_size=n).map(",".join), st.text(max_size=8))
     worlds = draw(st.lists(world, min_size=1, max_size=3))
     # the texts follow "--" or "=", so they reach the command as data
@@ -110,13 +119,15 @@ def _formula_commands(draw):
         return ["eval", "-n", str(n), f"--at={worlds[0]}", "--", formula]
     if command == "capture":
         return ["capture", "-n", str(n), "--", *worlds]
+    if command == "revise":
+        return ["revise", "-n", str(n), f"--op={draw(_OPERATOR_TEXTS)}", "--", formula, draw(formula_text)]
     return [command, "-n", str(n), "--", formula]
 
 
 @given(_formula_commands())
 def test_formula_commands_exit_0_or_2_without_traceback(argv):
-    """Any formula or interpretation text ends in exit 0, or exit 2 with one
-    ``tri: error:`` line and an empty stdout; nothing is raised.
+    """Any formula, interpretation or operator text ends in exit 0, or exit 2
+    with one ``tri: error:`` line and an empty stdout; nothing is raised.
 
     As an option, ``-h`` means help, which exits through SystemExit(0) by
     design, so the drawn texts are passed as data.  ``-n`` stays at 1-3:

@@ -271,6 +271,22 @@ def test_characterization_with_covering_pairs_only():
     assert result.pairs_checked == 3
 
 
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (2, covering_ranking_pairs(1)),
+        (1, covering_ranking_pairs(2)),
+        (1, [(Ranking(1, (1, 2, 3)), Ranking(2, (1, 2, 3) * 3))]),
+    ],
+)
+def test_checks_reject_pairs_over_another_variable_count(n, pairs):
+    # n=2 with n=1 pairs used to be a false FAIL, n=1 with n=2 pairs an unrelated error
+    with pytest.raises(ValueError, match=f"ranking pairs must be over {n} variable"):
+        check_characterization(ci_table(), n, pairs=pairs)
+    with pytest.raises(ValueError, match=f"ranking pairs must be over {n} variable"):
+        check_ci_postulates(n, pairs=pairs)
+
+
 def test_sweep_sample_of_tables():
     rng = random.Random(7)
     sample = [OperatorTable(tuple(rng.randint(1, 3) for _ in range(9))) for _ in range(100)]
@@ -285,11 +301,14 @@ def _seeded_block(seed, size=500):
 
 
 def test_sweep_agrees_with_fresh_memo_checks():
-    # the sweep shares one memo per pair across its tables; each check here starts afresh
+    # the sweep shares one memo per pair across its tables; each check here starts cold
     block = _seeded_block(20261)
     swept = sweep_all_tables(1, tables=block)
     pairs = covering_ranking_pairs(1)
-    fresh = [check_characterization(t, 1, pairs=pairs) for t in block]
+    fresh = []
+    for table in block:
+        operators._pair_memo.cache_clear()
+        fresh.append(check_characterization(table, 1, pairs=pairs))
     assert swept.total == len(block)
     assert all(fresh)
     assert dict(swept.failures) == {t.serialize(): r.failure for t, r in zip(block, fresh) if not r}
@@ -311,6 +330,26 @@ def test_sweep_reports_a_planted_defect_behind_warm_memos(monkeypatch):
     result = sweep_all_tables(1, tables=block)
     assert [serial for serial, _ in result.failures] == [bad.serialize()]
     assert result.total == len(block)
+    fresh = check_characterization(bad, 1, pairs=covering_ranking_pairs(1))
+    assert result.failures[0][1] == fresh.failure
+
+
+def test_sweep_reports_a_planted_defect_behind_memos_warmed_by_an_earlier_sweep(monkeypatch):
+    block = _seeded_block(4243)
+    bad = block[300]
+    other = OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,))
+    # the first call evaluates the other table's postulates into the pair memos
+    assert sweep_all_tables(1, tables=block + [other])
+    real = operators.postulate_formula
+
+    def planted(table, target, f, g):
+        return real(other if table == bad else table, target, f, g)
+
+    monkeypatch.setattr(operators, "postulate_formula", planted)
+    result = sweep_all_tables(1, tables=block)
+    assert [serial for serial, _ in result.failures] == [bad.serialize()]
+    assert result.total == len(block)
+    operators._pair_memo.cache_clear()
     fresh = check_characterization(bad, 1, pairs=covering_ranking_pairs(1))
     assert result.failures[0][1] == fresh.failure
 

@@ -9,7 +9,6 @@ one of the two boxes is available.
 """
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -20,27 +19,19 @@ from .syntax import And, Box1, Box2, Not, Or
 
 
 class PreorderOp(enum.Enum):
-    """The ranking-level counterparts of the connectives."""
+    """The ranking-level counterparts of the connectives.  Each member's value
+    is its connective, whose truth table, read through the level <-> value
+    correspondence, is the operation."""
 
-    NEG = "neg"
-    BOX1 = "box1"
-    BOX2 = "box2"
-    JOIN = "join"
-    MEET = "meet"
+    NEG = Not
+    BOX1 = Box1
+    BOX2 = Box2
+    JOIN = Or
+    MEET = And
 
 
-UNARY_OPS = frozenset({PreorderOp.NEG, PreorderOp.BOX1, PreorderOp.BOX2})
-BINARY_OPS = frozenset({PreorderOp.JOIN, PreorderOp.MEET})
-
-# Each level operation is its connective's truth table read through the
-# level <-> value correspondence.
-_CONNECTIVES = {
-    PreorderOp.NEG: Not,
-    PreorderOp.BOX1: Box1,
-    PreorderOp.BOX2: Box2,
-    PreorderOp.JOIN: Or,
-    PreorderOp.MEET: And,
-}
+UNARY_OPS = frozenset(op for op in PreorderOp if op.value in UNARY_TABLES)
+BINARY_OPS = frozenset(op for op in PreorderOp if op.value in BINARY_TABLES)
 
 # Ranking induced by the bare variable x0: its model is most plausible.
 X0_RANKING = Ranking(1, (3, 2, 1))
@@ -53,42 +44,44 @@ def apply_op(op: PreorderOp, r: Ranking, r2: Ranking | None = None) -> Ranking:
     """Apply one level operation; unary ops reject a second argument."""
     if op in UNARY_OPS:
         if r2 is not None:
-            raise ValueError(f"{op.value} takes a single ranking")
-        row = UNARY_TABLES[_CONNECTIVES[op]]
+            raise ValueError(f"{op.name.lower()} takes a single ranking")
+        row = UNARY_TABLES[op.value]
         return Ranking(r.n, tuple(level_of_value(row[value_of_level(level)]) for level in r.levels))
     if op in BINARY_OPS:
         if r2 is None:
-            raise ValueError(f"{op.value} takes two rankings")
+            raise ValueError(f"{op.name.lower()} takes two rankings")
         if r.n != r2.n:
             raise ValueError(f"rankings must agree on the variable count ({r.n} vs {r2.n})")
-        fn = BINARY_TABLES[_CONNECTIVES[op]]
+        fn = BINARY_TABLES[op.value]
         values = zip(map(value_of_level, r.levels), map(value_of_level, r2.levels))
         return Ranking(r.n, tuple(level_of_value(fn(a, b)) for a, b in values))
     raise TypeError(f"not a level operation: {op!r}")
 
 
 def closure(generators: Iterable[Ranking], ops: Iterable[PreorderOp]) -> frozenset[Ranking]:
-    """Least superset of ``generators`` closed under ``ops`` (worklist fixed point)."""
+    """Least superset of ``generators`` closed under ``ops``.
+
+    Semi-naive saturation: every ranking, once found, goes through each
+    unary op once and each binary op once with itself and with every ranking
+    found before it.  The binary ops are commutative, so each unordered pair
+    is combined once.
+    """
     members = set(generators)
     if not members:
         raise ValueError("closure needs at least one generator")
     if len({r.n for r in members}) != 1:
         raise ValueError("generators must agree on the variable count")
     op_set = frozenset(ops)
-    unary = [op for op in (PreorderOp.NEG, PreorderOp.BOX1, PreorderOp.BOX2) if op in op_set]
-    binary = [op for op in (PreorderOp.JOIN, PreorderOp.MEET) if op in op_set]
-    queue = deque(members)
-    while queue:
-        r = queue.popleft()
+    # anything that is not a PreorderOp goes to apply_op's unary path, which raises TypeError
+    unary, binary = op_set - BINARY_OPS, op_set & BINARY_OPS
+    found = list(members)
+    for index, r in enumerate(found):
         produced = [apply_op(op, r) for op in unary]
-        for op in binary:
-            for other in members:
-                produced.append(apply_op(op, r, other))
-                produced.append(apply_op(op, other, r))
+        produced += [apply_op(op, r, other) for op in binary for other in found[: index + 1]]
         for candidate in produced:
             if candidate not in members:
                 members.add(candidate)
-                queue.append(candidate)
+                found.append(candidate)
     return frozenset(members)
 
 

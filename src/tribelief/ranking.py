@@ -138,8 +138,9 @@ class Ranking:
 
 def all_rankings(n: int) -> Iterator[Ranking]:
     """Every ranking over interpretations(n), in serialization order."""
-    for levels in itertools.product(LEVELS, repeat=3**n):
-        yield Ranking(n, levels)
+    if n < 0:
+        raise ValueError("variable count must be non-negative")
+    return (Ranking(n, levels) for levels in itertools.product(LEVELS, repeat=3**n))
 
 
 def ranking_of_formula(formula: Formula, n: int, memo: dict | None = None) -> Ranking:

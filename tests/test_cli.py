@@ -14,15 +14,19 @@ from hypothesis import strategies as st
 import tribelief
 from tribelief import (
     CI_POSTULATE_NAMES,
+    OperatorTable,
     SweepResult,
     TruthValue,
     X0_RANKING,
     capture_set,
+    ci_table,
     classify,
+    drastic_table,
     formula_of_ranking,
     parse,
     render,
 )
+from tribelief import operators
 from tribelief.cli import main
 from strategies import formula_texts, formulas, rankings
 
@@ -238,6 +242,40 @@ def test_check_charac(capsys):
     assert out == "table 122123223: characterization PASS (729 pair(s))\n"
 
 
+def test_check_ci_prints_failure_witnesses(monkeypatch, capsys):
+    # the drastic operator checked against the cautious suite
+    monkeypatch.setattr(operators, "ci_table", drastic_table)
+    code, out, err = run_cli(capsys, "check", "ci")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "CI1 FAIL old=113 new=111",
+        "CI2 FAIL old=111 new=113",
+        "CI3 PASS",
+        "CI4 PASS",
+        "CI5 PASS",
+        "CI6 FAIL old=111 new=113",
+        "CI7 PASS",
+        "CI8 PASS",
+        "CI1' FAIL old=113 new=111",
+        "CI2' FAIL old=111 new=113",
+        "checked 729 ranking pair(s)",
+    ]
+
+
+def test_check_charac_prints_the_failure(monkeypatch, capsys):
+    # ci's postulates are planted with those of a table that differs in cell (3, 3)
+    other = OperatorTable((1, 2, 2, 1, 2, 3, 2, 2, 1))
+    real = operators.postulate_formula
+
+    def planted(table, target, f, g):
+        return real(other if table == ci_table() else table, target, f, g)
+
+    monkeypatch.setattr(operators, "postulate_formula", planted)
+    code, out, err = run_cli(capsys, "check", "charac", "--op", "ci")
+    assert (code, err) == (1, "")
+    assert out == "table 122123223: characterization FAIL: target 1 postulate models mismatch for old=113 new=113\n"
+
+
 def test_check_all_operators_summary(monkeypatch, capsys):
     monkeypatch.setattr("tribelief.cli.sweep_all_tables", lambda n: SweepResult(n, 19683, ()))
     code, out, _ = run_cli(capsys, "check", "all-operators")
@@ -285,6 +323,68 @@ def test_closure_include_bot(capsys):
     code, out, _ = run_cli(capsys, "closure", "--variant", "box1", "--include-bot")
     assert code == 0
     assert "generators: x0 and bot" in out.splitlines()[0]
+
+
+_CLOSURE_HUMAN = {
+    "box1": """\
+variant: box1 (generators: x0; ops: neg, join, box1, meet)
+closure size: 17 of 27
+forbidden family (10 rankings):
+  113 OUT
+  131 OUT
+  132 OUT
+  133 OUT
+  213 OUT
+  231 OUT
+  311 OUT
+  312 OUT
+  313 OUT
+  331 OUT
+unreachable rankings (10): 113 131 132 133 213 231 311 312 313 331
+meet adds nothing: yes
+verdict: DISJOINT
+""",
+    "box2": """\
+variant: box2 (generators: x0; ops: neg, join, box2, meet)
+closure size: 12 of 27
+forbidden family (15 rankings):
+  112 OUT
+  122 OUT
+  132 OUT
+  211 OUT
+  212 OUT
+  213 OUT
+  221 OUT
+  222 OUT
+  223 OUT
+  231 OUT
+  232 OUT
+  233 OUT
+  312 OUT
+  322 OUT
+  332 OUT
+unreachable rankings (15): 112 122 132 211 212 213 221 222 223 231 232 233 312 322 332
+meet adds nothing: yes
+verdict: DISJOINT
+""",
+}
+
+
+@pytest.mark.parametrize("variant", ["box1", "box2"])
+@pytest.mark.parametrize("include_bot", [False, True])
+@pytest.mark.parametrize("machine", [False, True])
+def test_closure_golden(capsys, variant, include_bot, machine):
+    # bot adds no ranking to either closure, so only the generators line changes
+    human = _CLOSURE_HUMAN[variant]
+    if include_bot:
+        human = human.replace("(generators: x0;", "(generators: x0 and bot;")
+    if machine:
+        expected = "".join(line.strip() + "\n" for line in human.splitlines() if line.startswith("  "))
+    else:
+        expected = human
+    argv = ["closure", "--variant", variant]
+    argv += ["--include-bot"] * include_bot + ["--machine"] * machine
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_output_is_deterministic(capsys):

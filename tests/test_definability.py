@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
@@ -21,7 +23,8 @@ from tribelief import (
     value_profile,
     verify_nondefinability,
 )
-from tribelief.semantics import box1, dia1, implies, neg
+from tribelief.semantics import BINARY_TABLES, UNARY_TABLES, VALUES, box1, dia1, implies, neg
+from tribelief.syntax import And, Box1, Box2, Not, Or
 
 def serial(text):
     return Ranking.deserialize(text, 1)
@@ -37,6 +40,20 @@ def test_generator_constants():
 def test_op_partition():
     assert UNARY_OPS | BINARY_OPS == frozenset(PreorderOp)
     assert not UNARY_OPS & BINARY_OPS
+    assert [(op.name, op.value) for op in PreorderOp] == [
+        ("NEG", Not), ("BOX1", Box1), ("BOX2", Box2), ("JOIN", Or), ("MEET", And),
+    ]
+    assert {op.value for op in UNARY_OPS} <= UNARY_TABLES.keys()
+    assert {op.value for op in BINARY_OPS} <= BINARY_TABLES.keys()
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS, key=lambda op: op.name), ids=lambda op: op.name.lower())
+def test_binary_ops_are_commutative(op):
+    # closure combines each unordered pair once, which is sound only for these
+    fn = BINARY_TABLES[op.value]
+    assert all(fn(a, b) is fn(b, a) for a in VALUES for b in VALUES)
+    rankings = list(all_rankings(1))
+    assert all(apply_op(op, a, b) == apply_op(op, b, a) for a in rankings for b in rankings)
 
 
 def test_apply_op_base_cases():
@@ -49,13 +66,13 @@ def test_apply_op_base_cases():
 
 
 def test_apply_op_arity_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^neg takes a single ranking$"):
         apply_op(PreorderOp.NEG, X0_RANKING, X0_RANKING)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^join takes two rankings$"):
         apply_op(PreorderOp.JOIN, X0_RANKING)
     with pytest.raises(ValueError):
         apply_op(PreorderOp.JOIN, X0_RANKING, Ranking(2, (1,) * 9))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^not a level operation: 'join'$"):
         apply_op("join", X0_RANKING, X0_RANKING)
 
 
@@ -75,8 +92,66 @@ def test_closure_input_validation():
         closure([X0_RANKING, Ranking(2, (1,) * 9)], {PreorderOp.NEG})
 
 
+def test_closure_rejects_what_is_not_a_level_operation():
+    with pytest.raises(TypeError, match="^not a level operation: 'neg'$"):
+        closure({X0_RANKING}, {"neg"})
+    with pytest.raises(TypeError, match="^not a level operation: 'join'$"):
+        closure({X0_RANKING}, [PreorderOp.NEG, "join"])
+
+
+_N1_RESULTS = {
+    **{(op, r): apply_op(op, r) for op in UNARY_OPS for r in all_rankings(1)},
+    **{(op, a, b): apply_op(op, a, b) for op in BINARY_OPS for a in all_rankings(1) for b in all_rankings(1)},
+}
+
+
+def reference_closure(generators, ops):
+    """Worklist closure that combines each dequeued ranking with every member
+    under each binary op in both argument orders, so it does not rely on
+    commutativity.  It reads the n=1 results of ``apply_op`` from a table, so
+    only ``closure``'s saturation is compared."""
+    members = set(generators)
+    op_set = frozenset(ops)
+    unary = [op for op in (PreorderOp.NEG, PreorderOp.BOX1, PreorderOp.BOX2) if op in op_set]
+    binary = [op for op in (PreorderOp.JOIN, PreorderOp.MEET) if op in op_set]
+    queue = deque(members)
+    while queue:
+        r = queue.popleft()
+        produced = [_N1_RESULTS[op, r] for op in unary]
+        for op in binary:
+            for other in members:
+                produced.append(_N1_RESULTS[op, r, other])
+                produced.append(_N1_RESULTS[op, other, r])
+        for candidate in produced:
+            if candidate not in members:
+                members.add(candidate)
+                queue.append(candidate)
+    return frozenset(members)
+
+
+_OP_SUBSETS = [
+    frozenset(ops)
+    for size in range(1, len(PreorderOp) + 1)
+    for ops in itertools.combinations(PreorderOp, size)
+]
+
+
+def _generator_sets():
+    rankings = list(all_rankings(1))
+    rng = random.Random(20191031)
+    yield from ([r] for r in rankings)
+    for _ in range(20):
+        yield rng.sample(rankings, rng.randint(2, 4))
+
+
+@pytest.mark.parametrize("ops", _OP_SUBSETS, ids=lambda ops: "-".join(sorted(op.name.lower() for op in ops)))
+def test_closure_matches_reference_closure(ops):
+    for generators in _generator_sets():
+        assert closure(generators, ops) == reference_closure(generators, ops), generators
+
+
 def naive_closure(generators, ops):
-    """Round-based saturation, an independent check on the worklist version."""
+    """Round-based saturation, an independent check on ``closure``."""
     members = frozenset(generators)
     while True:
         grown = set(members)

@@ -257,6 +257,28 @@ def test_characterization_drastic_exhaustive():
     assert check_characterization(drastic_table()).ok
 
 
+def test_characterization_rejects_n0():
+    with pytest.raises(ValueError, match="characterization needs at least one variable"):
+        check_characterization(ci_table(), 0)
+
+
+def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
+    # the same transposition in the semantics and the postulates keeps every
+    # model set consistent, so only rebuilding the table cell-wise can fail
+    def transposed(table):
+        return OperatorTable(tuple(table.k(j, i) for i in range(1, 4) for j in range(1, 4)))
+
+    real_apply, real_postulate = operators.apply_semantic, operators.postulate_formula
+    monkeypatch.setattr(operators, "apply_semantic", lambda t, a, b: real_apply(transposed(t), a, b))
+    monkeypatch.setattr(
+        operators, "postulate_formula", lambda t, target, f, g: real_postulate(transposed(t), target, f, g)
+    )
+    result = check_characterization(ci_table())
+    assert not result
+    assert result.failure == "cell (1, 2) rebuilt as [1] instead of 2 for old=111 new=112"
+    assert result.pairs_checked == 2
+
+
 def test_characterization_reports_insufficient_coverage():
     r = Ranking(1, (1, 1, 1))
     result = check_characterization(ci_table(), pairs=[(r, r)])
@@ -388,6 +410,12 @@ def test_ci_postulates_on_explicit_pairs():
 def test_ci_postulates_rejects_n0():
     with pytest.raises(ValueError):
         check_ci_postulates(0)
+
+
+@pytest.mark.parametrize("witness", [ci1_prime_equiv_witness, ci2_prime_equiv_witness])
+def test_equivalence_witnesses_reject_a_negative_variable_count(witness):
+    with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+        witness(-1)
 
 
 def test_ci1_prime_holds_as_models_but_not_as_equivalence():

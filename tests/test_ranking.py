@@ -87,6 +87,11 @@ def test_all_rankings_enumeration():
     assert len(set(seen)) == 27
 
 
+def test_all_rankings_rejects_a_negative_variable_count():
+    with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+        all_rankings(-1)
+
+
 def test_from_level_sets():
     r = Ranking.from_level_sets(1, [(T,)], [(U,)], [(F,)])
     assert r == Ranking(1, (3, 2, 1))

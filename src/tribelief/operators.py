@@ -11,7 +11,7 @@ operator ``ci``.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 from .ranking import LEVELS, Ranking, all_rankings, capture_valuation, formula_of_ranking, level_indicator, ranking_of_formula
@@ -57,6 +57,7 @@ class OperatorTable:
 
 _CI_CELLS = (1, 2, 2, 1, 2, 3, 2, 2, 3)
 _DRASTIC_CELLS = (1, 2, 3, 1, 2, 3, 1, 2, 3)
+_SWEEP_BLOCK = 256  # tables per check_characterizations call in sweep_all_tables
 
 
 def ci_table() -> OperatorTable:
@@ -90,14 +91,13 @@ def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
 
 
 @lru_cache(maxsize=32)
-def _cell_conjunctions(f: Formula, g: Formula) -> tuple[Formula, ...]:
-    """The nine cell conjunctions of a pair, row-major.
+def _cell_conjunctions(f: Formula, g: Formula) -> tuple[tuple[Formula, ...], dict[int, Formula]]:
+    """The nine cell conjunctions of a pair, row-major, and its Or-chains.
 
-    Nodes are hash-consed, so the key is by identity and every table and
-    target of the pair reads the same nine nodes.  The sweep needs only its
-    few covering pairs; holding all 729 pairs at n=1 measured no faster.
+    Nodes are hash-consed, so the key is by identity.  ``postulate_formula``
+    fills the dict, which maps a 9-bit cell mask to the Or-chain of those cells.
     """
-    return tuple(And(level_indicator(f, i), level_indicator(g, j)) for i in LEVELS for j in LEVELS)
+    return tuple(And(level_indicator(f, i), level_indicator(g, j)) for i in LEVELS for j in LEVELS), {}
 
 
 def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, g: Formula) -> Formula:
@@ -107,7 +107,7 @@ def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, 
         raise ValueError("levels must be 1, 2 or 3")
     if target != table.k(i, j):
         return Bot()
-    return _cell_conjunctions(f, g)[(i - 1) * 3 + (j - 1)]
+    return _cell_conjunctions(f, g)[0][(i - 1) * 3 + (j - 1)]
 
 
 def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula) -> Formula:
@@ -118,20 +118,18 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     """
     if target not in LEVELS:
         raise ValueError("levels must be 1, 2 or 3")
-    bot = Bot()
-    disjuncts = [c if k == target else bot for c, k in zip(_cell_conjunctions(f, g), table.cells)]
-    out: Formula = disjuncts[0]
-    for d in disjuncts[1:]:
-        out = Or(out, d)
+    conjunctions, chains = _cell_conjunctions(f, g)
+    mask = 0
+    for k in table.cells:
+        mask = mask * 2 + (k == target)
+    if (out := chains.get(mask)) is None:
+        out = chains[mask] = reduce(Or, [c if k == target else Bot() for c, k in zip(conjunctions, table.cells)])
     return out
 
 
 @lru_cache(maxsize=8)
 def _capture_profile_seed(n: int) -> dict:
-    """Shared profile memo covering every capture formula at size n.
-
-    Only ``_pair_memo`` reads it, and it copies it into each new pair's memo.
-    """
+    """Profiles of every capture formula at size n; ``_pair_memo`` copies it for each pair."""
     memo: dict = {}
     for w in interpretations(n):
         value_profile(capture_valuation(w), n, memo)
@@ -142,11 +140,8 @@ def _capture_profile_seed(n: int) -> dict:
 def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> dict:
     """The profile memo of one ranking pair, seeded with the capture profiles.
 
-    Every check of the pair reads and extends this one dict: it is keyed by
-    node, so it holds correct profiles for any caller.  The cache is small,
-    like ``_cell_conjunctions``: the sweep's few covering pairs stay warm,
-    while an exhaustive check cycles through all pairs, so each in effect
-    gets a fresh memo and its formulas do not outlive it for long.
+    It is keyed by node, so it holds correct profiles for any caller.  The
+    cache keeps the sweep's few covering pairs warm from one call to the next.
     """
     if r_old.n != n or r_new.n != n:
         raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
@@ -197,49 +192,55 @@ def check_characterization(
     postulate formula of exactly one target, the one its cell maps to).  With
     ``pairs=None`` all ranking pairs over interpretations(n) are checked; a
     pair over another variable count raises ``ValueError``.
+    """
+    return check_characterizations([table], n, pairs)[0]
 
-    Each pair's profiles go to its ``_pair_memo``, which every check of the
-    same pair shares: the cell formulas and Or-chain prefixes of the
-    postulates are the same nodes for every table, so a sweep evaluates each
-    of them once per pair.
+
+def _pair_failure(table, r_old, r_new, f, g, cells, n, memo) -> str | None:
+    """Why ``table``'s postulates fail on one pair, or ``None`` if they hold."""
+    combined = apply_semantic(table, r_old, r_new).levels
+    for target in LEVELS:
+        profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+        if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
+            return f"target {target} postulate models mismatch"
+    # the model sets match, so each world satisfies the postulate of its combined level alone
+    for cell, level in zip(cells, combined):
+        if level != table.k(*cell):
+            return f"cell {cell} rebuilt as {[level]} instead of {table.k(*cell)}"
+    return None
+
+
+def check_characterizations(
+    tables: Iterable[OperatorTable],
+    n: int = 1,
+    pairs: Iterable[tuple[Ranking, Ranking]] | None = None,
+) -> list[CharacterizationResult]:
+    """``check_characterization`` of each table, with the pairs as the outer loop.
+
+    A table that fails sits out the remaining pairs, so each result is the
+    one a check of that table alone gives.
     """
     if n < 1:
         raise ValueError("characterization needs at least one variable")
+    tables = list(tables)
+    results: list[CharacterizationResult | None] = [None] * len(tables)
+    live = range(len(tables))  # positions of the tables still without a result
     covered: set[tuple[int, int]] = set()
     checked = 0
-
-    def fail(reason: str) -> CharacterizationResult:
-        return CharacterizationResult(table, n, checked, failure=reason)
-
     for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
         memo = _pair_memo(n, r_old, r_new)
         checked += 1
-        f = formula_of_ranking(r_old)
-        g = formula_of_ranking(r_new)
-        combined = apply_semantic(table, r_old, r_new)
-        profiles = []
-        for target in LEVELS:
-            profile = value_profile(postulate_formula(table, target, f, g), n, memo)
-            models = {i for i, v in enumerate(profile) if v is TruthValue.TRUE}
-            wanted = {i for i, level in enumerate(combined.levels) if level == target}
-            if models != wanted:
-                return fail(
-                    f"target {target} postulate models mismatch for "
-                    f"old={r_old.serialize()} new={r_new.serialize()}"
-                )
-            profiles.append(profile)
-        for index in range(3**n):
-            cell = (r_old.levels[index], r_new.levels[index])
-            covered.add(cell)
-            hits = [t for t in LEVELS if profiles[t - 1][index] is TruthValue.TRUE]
-            if hits != [table.k(*cell)]:
-                return fail(
-                    f"cell {cell} rebuilt as {hits} instead of {table.k(*cell)} for "
-                    f"old={r_old.serialize()} new={r_new.serialize()}"
-                )
-    if len(covered) < 9:
-        return fail("checked pairs do not cover all nine level cells")
-    return CharacterizationResult(table, n, checked)
+        f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
+        cells = tuple(zip(r_old.levels, r_new.levels))
+        covered.update(cells)
+        for t in live:
+            if reason := _pair_failure(tables[t], r_old, r_new, f, g, cells, n, memo):
+                where = f"old={r_old.serialize()} new={r_new.serialize()}"
+                results[t] = CharacterizationResult(tables[t], n, checked, f"{reason} for {where}")
+        if not (live := [t for t in live if results[t] is None]):
+            break
+    failure = None if len(covered) == 9 else "checked pairs do not cover all nine level cells"
+    return [CharacterizationResult(table, n, checked, failure) if r is None else r for table, r in zip(tables, results)]
 
 
 @dataclass(frozen=True)
@@ -262,16 +263,16 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     """Run the characterization check over every operator table.
 
     Uses the covering pairs only: that exercises every table cell while
-    keeping the full 3**9 sweep tractable.  ``tables`` narrows the sweep.
+    keeping the full 3**9 sweep tractable.  ``tables`` narrows the sweep.  It
+    is checked in fixed blocks and only failures are kept, so memory stays flat.
     """
     pairs = covering_ranking_pairs(n)
+    tables = iter(all_tables() if tables is None else tables)
     failures = []
     total = 0
-    for table in tables if tables is not None else all_tables():
-        total += 1
-        result = check_characterization(table, n, pairs)
-        if not result:
-            failures.append((table.serialize(), result.failure))
+    while block := list(itertools.islice(tables, _SWEEP_BLOCK)):
+        total += len(block)
+        failures += [(r.table.serialize(), r.failure) for r in check_characterizations(block, n, pairs) if not r]
     return SweepResult(n, total, tuple(failures))
 
 
@@ -390,6 +391,4 @@ def ci1_prime_equiv_witness(n: int = 1) -> tuple[Ranking, Ranking, int] | None:
 
 def ci2_prime_equiv_witness(n: int = 1) -> tuple[Ranking, Ranking, int] | None:
     """Same gap for CI2': ``~(old * new)`` versus ``[]1 ~old & ~new``."""
-    return _equiv_gap(
-        lambda star: Not(star), lambda phi, theta: And(Box1(Not(phi)), Not(theta)), n
-    )
+    return _equiv_gap(Not, lambda phi, theta: And(Box1(Not(phi)), Not(theta)), n)

@@ -29,8 +29,14 @@ def level_of_value(v: TruthValue) -> int:
     return 3 - v
 
 
+_VALUE_OF_LEVEL = {3 - v: v for v in TruthValue}
+
+
 def value_of_level(level: int) -> TruthValue:
-    return TruthValue(3 - level)
+    value = _VALUE_OF_LEVEL.get(level)
+    if value is None:
+        raise ValueError(f"levels must be 1, 2 or 3, got {level!r}")
+    return value
 
 
 @dataclass(frozen=True)

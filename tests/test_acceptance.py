@@ -29,7 +29,7 @@ from tribelief import (
     apply_op,
     apply_semantic,
     capture_valuation,
-    check_characterization,
+    check_characterizations,
     check_ci_postulates,
     ci1_prime_equiv_witness,
     ci_table,
@@ -173,8 +173,9 @@ def test_criterion_5_characterization_of_all_tables():
         chosen = [ci_table(), drastic_table()] + [
             OperatorTable(tuple(rng.randint(1, 3) for _ in range(9))) for _ in range(50)
         ]
-        for table in chosen:
-            result = check_characterization(table, n=1)
+        results = check_characterizations(chosen, n=1)
+        assert [result.table for result in results] == chosen
+        for table, result in zip(chosen, results):
             assert result.ok, (table.serialize(), result.failure)
             assert result.pairs_checked == 729
         b.note("19683 tables on covering pairs, 52 tables on all 729 pairs")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from tribelief import (
     apply_semantic,
     cell_formula,
     check_characterization,
+    check_characterizations,
     check_ci_postulates,
     ci1_prime_equiv_witness,
     ci2_prime_equiv_witness,
@@ -217,7 +219,9 @@ def test_cell_conjunctions_are_shared_by_equal_inputs():
     old, new = covering_ranking_pairs(1)[1]
     f, g = formula_of_ranking(old), formula_of_ranking(new)
     first = operators._cell_conjunctions(f, g)
-    assert len(first) == 9
+    conjunctions, chains = first
+    assert len(conjunctions) == 9
+    assert isinstance(chains, dict)
     # built again from text, the inputs are the same interned nodes
     assert operators._cell_conjunctions(parse(render(f)), parse(render(g))) is first
 
@@ -262,9 +266,7 @@ def test_characterization_rejects_n0():
         check_characterization(ci_table(), 0)
 
 
-def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
-    # the same transposition in the semantics and the postulates keeps every
-    # model set consistent, so only rebuilding the table cell-wise can fail
+def _plant_transposition(monkeypatch):
     def transposed(table):
         return OperatorTable(tuple(table.k(j, i) for i in range(1, 4) for j in range(1, 4)))
 
@@ -273,6 +275,12 @@ def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
     monkeypatch.setattr(
         operators, "postulate_formula", lambda t, target, f, g: real_postulate(transposed(t), target, f, g)
     )
+
+
+def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
+    # the same transposition in the semantics and the postulates keeps every
+    # model set consistent, so only rebuilding the table cell-wise can fail
+    _plant_transposition(monkeypatch)
     result = check_characterization(ci_table())
     assert not result
     assert result.failure == "cell (1, 2) rebuilt as [1] instead of 2 for old=111 new=112"
@@ -374,6 +382,131 @@ def test_sweep_reports_a_planted_defect_behind_memos_warmed_by_an_earlier_sweep(
     operators._pair_memo.cache_clear()
     fresh = check_characterization(bad, 1, pairs=covering_ranking_pairs(1))
     assert result.failures[0][1] == fresh.failure
+
+
+def reference_check_characterization(table, n=1, pairs=None):
+    """The table-major check: one table at a time over every pair, each pair
+    evaluated in a memo of its own, so nothing is shared across tables."""
+    covered = set()
+    checked = 0
+
+    def fail(reason):
+        return operators.CharacterizationResult(table, n, checked, failure=reason)
+
+    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        memo = {}
+        checked += 1
+        f = formula_of_ranking(r_old)
+        g = formula_of_ranking(r_new)
+        combined = operators.apply_semantic(table, r_old, r_new)
+        profiles = []
+        for target in (1, 2, 3):
+            profile = value_profile(operators.postulate_formula(table, target, f, g), n, memo)
+            models = {i for i, v in enumerate(profile) if v is T}
+            wanted = {i for i, level in enumerate(combined.levels) if level == target}
+            if models != wanted:
+                return fail(
+                    f"target {target} postulate models mismatch for "
+                    f"old={r_old.serialize()} new={r_new.serialize()}"
+                )
+            profiles.append(profile)
+        for index in range(3**n):
+            cell = (r_old.levels[index], r_new.levels[index])
+            covered.add(cell)
+            hits = [t for t in (1, 2, 3) if profiles[t - 1][index] is T]
+            if hits != [table.k(*cell)]:
+                return fail(
+                    f"cell {cell} rebuilt as {hits} instead of {table.k(*cell)} for "
+                    f"old={r_old.serialize()} new={r_new.serialize()}"
+                )
+    if len(covered) < 9:
+        return fail("checked pairs do not cover all nine level cells")
+    return operators.CharacterizationResult(table, n, checked)
+
+
+def _outcomes(results):
+    return [(r.table.serialize(), r.ok, r.failure, r.pairs_checked) for r in results]
+
+
+def _plant_other_postulates(monkeypatch, bad_tables):
+    # each bad table gets the postulates of a table that differs in its last cell
+    others = {bad: OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,)) for bad in bad_tables}
+    real = operators.postulate_formula
+    monkeypatch.setattr(
+        operators, "postulate_formula", lambda t, target, f, g: real(others.get(t, t), target, f, g)
+    )
+
+
+_FEW_TABLES = [ci_table(), drastic_table(), OperatorTable((1, 1, 2, 2, 3, 3, 1, 3, 2))]
+
+
+@pytest.mark.parametrize(
+    "tables, pairs, defect",
+    [
+        (_seeded_block(31337), "covering", None),
+        (_seeded_block(31337), "covering", "other postulates"),
+        (_seeded_block(31337), "covering", "transposed"),
+        (_seeded_block(31337), "non-covering", None),
+        # all 729 pairs; the tables without a planted defect pass them all
+        (_FEW_TABLES, "all", "other postulates"),
+        (_FEW_TABLES, "all", "transposed"),
+    ],
+    ids=lambda value: f"{len(value)}-tables" if isinstance(value, list) else value,
+)
+def test_pair_major_check_matches_the_table_major_reference(monkeypatch, tables, pairs, defect):
+    defective = defect is not None or pairs == "non-covering"
+    pairs = {
+        "covering": covering_ranking_pairs(1),
+        "non-covering": [(Ranking(1, (1, 2, 2)), Ranking(1, (3, 1, 1)))],
+        "all": None,
+    }[pairs]
+    if defect == "other postulates":
+        _plant_other_postulates(monkeypatch, tables[1::3])
+    elif defect == "transposed":
+        _plant_transposition(monkeypatch)
+    expected = _outcomes(reference_check_characterization(t, 1, pairs) for t in tables)
+    assert any(not ok for _, ok, _, _ in expected) == defective
+    assert _outcomes(check_characterizations(tables, 1, pairs)) == expected
+    assert _outcomes(check_characterization(t, 1, pairs) for t in tables) == expected
+    if pairs == covering_ranking_pairs(1):
+        swept = sweep_all_tables(1, tables=tables)
+        assert swept.total == len(tables)
+        assert list(swept.failures) == [(serial, failure) for serial, ok, failure, _ in expected if not ok]
+
+
+def test_sweep_blocks_agree_with_the_reference(monkeypatch):
+    # more tables than one sweep block, with failures in more than one block
+    tables = _seeded_block(2718, 2 * operators._SWEEP_BLOCK + 100)
+    _plant_other_postulates(monkeypatch, tables[::97])
+    expected = [reference_check_characterization(t, 1, covering_ranking_pairs(1)) for t in tables]
+    swept = sweep_all_tables(1, tables=iter(tables))
+    assert swept.total == len(tables)
+    assert list(swept.failures) == [(r.table.serialize(), r.failure) for r in expected if not r]
+    assert len(swept.failures) == len(tables[::97])
+
+
+def test_check_characterizations_edge_cases():
+    assert check_characterizations([], 1) == []
+    results = check_characterizations([ci_table(), ci_table()], 1, pairs=[])
+    assert _outcomes(results) == [("122123223", False, "checked pairs do not cover all nine level cells", 0)] * 2
+    with pytest.raises(ValueError, match="characterization needs at least one variable"):
+        check_characterizations([ci_table()], 0)
+    with pytest.raises(ValueError, match="ranking pairs must be over 1 variable"):
+        check_characterizations([ci_table()], 1, pairs=covering_ranking_pairs(2))
+
+
+def test_postulate_chains_are_the_freshly_built_nodes():
+    old, new = covering_ranking_pairs(1)[2]
+    f, g = formula_of_ranking(old), formula_of_ranking(new)
+    _, chains = operators._cell_conjunctions(f, g)
+    for mask in range(512):
+        # target 1 at the cells whose bit is set, 2 elsewhere
+        table = OperatorTable(tuple(1 if mask >> (8 - k) & 1 else 2 for k in range(9)))
+        cached = postulate_formula(table, 1, f, g)
+        assert postulate_formula(table, 1, f, g) is cached
+        assert cached is _old_postulate_chain(table, 1, f, g)
+    assert len(chains) == 512
+    assert operators._cell_conjunctions(f, g)[1] is chains
 
 
 def test_ci_is_self_dual():

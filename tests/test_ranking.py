@@ -31,6 +31,13 @@ def test_level_value_correspondence():
         assert level_of_value(value_of_level(level)) == level
 
 
+@pytest.mark.parametrize("level", [0, 4, -1])
+def test_value_of_level_rejects_non_levels(level):
+    # 4 must not wrap round to a value, as a lookup indexed by 3 - level would
+    with pytest.raises(ValueError, match="levels must be 1, 2 or 3"):
+        value_of_level(level)
+
+
 def test_ranking_validation():
     with pytest.raises(ValueError):
         Ranking(1, (1, 2))

@@ -9,11 +9,10 @@ one of the two boxes is available.
 """
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
-from .ranking import Ranking, all_rankings, level_of_value, value_of_level
+from .ranking import Ranking, _Record, all_rankings, level_of_value, value_of_level
 from .semantics import BINARY_TABLES, UNARY_TABLES
 from .syntax import And, Box1, Box2, Not, Or
 
@@ -127,16 +126,21 @@ def forbidden_family_box2() -> frozenset[Ranking]:
     return frozenset(family)
 
 
-@dataclass(frozen=True)
-class NondefinabilityReport:
+class NondefinabilityReport(_Record):
     """Closure of the generators under one box's operation set, against the
     family of rankings that must stay unreachable."""
 
-    variant: str
-    include_bot: bool
-    closure: frozenset[Ranking]
-    forbidden: frozenset[Ranking]
-    meet_invariant: bool
+    __slots__ = _fields = ("variant", "include_bot", "closure", "forbidden", "meet_invariant")
+
+    def __init__(
+        self,
+        variant: str,
+        include_bot: bool,
+        closure: frozenset[Ranking],
+        forbidden: frozenset[Ranking],
+        meet_invariant: bool,
+    ):
+        self._init(variant, include_bot, closure, forbidden, meet_invariant)
 
     @property
     def intersection(self) -> frozenset[Ranking]:

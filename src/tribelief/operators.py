@@ -10,28 +10,37 @@ operator ``ci``.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator
 
-from .ranking import LEVELS, Ranking, all_rankings, capture_valuation, formula_of_ranking, level_indicator, ranking_of_formula
+from .ranking import (
+    LEVELS,
+    Ranking,
+    _Record,
+    all_rankings,
+    capture_valuation,
+    formula_of_ranking,
+    level_indicator,
+    ranking_of_formula,
+)
 from .semantics import TruthValue, interpretations, value_profile
 from .syntax import And, Bot, Box1, Formula, Not, Or
 
 
-@dataclass(frozen=True)
-class OperatorTable:
+class OperatorTable(_Record):
     """A 3x3 level table; cell (i, j) is the output level for a world at
     level i in the old state and level j in the new information.
 
-    ``cells`` is row-major: rows are the old level, columns the new one.
+    ``cells`` is a row-major tuple: rows are the old level, columns the new one.
     """
 
-    cells: tuple[int, ...]
+    __slots__ = _fields = ("cells",)
 
-    def __post_init__(self):
-        if len(self.cells) != 9 or any(c not in LEVELS for c in self.cells):
+    def __init__(self, cells: Iterable[int]):
+        cells = tuple(cells)
+        if len(cells) != 9 or any(c not in LEVELS for c in cells):
             raise ValueError("an operator table is 9 cells with values 1, 2 or 3")
+        self._init(cells)
 
     def k(self, i: int, j: int) -> int:
         if i not in LEVELS or j not in LEVELS:
@@ -77,12 +86,22 @@ def all_tables() -> Iterator[OperatorTable]:
         yield OperatorTable(cells)
 
 
+def _cell_indices(r_old: Ranking, r_new: Ranking) -> tuple[int, ...]:
+    """Each world's row-major index into a table's cells."""
+    return tuple([(i - 1) * 3 + (j - 1) for i, j in zip(r_old.levels, r_new.levels)])
+
+
+def _combine(table: OperatorTable, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """Each world's combined level, read from the table at its cell index."""
+    cells = table.cells
+    return tuple([cells[k] for k in indices])
+
+
 def apply_semantic(table: OperatorTable, r_old: Ranking, r_new: Ranking) -> Ranking:
     """Combine two rankings cell-wise through the table."""
     if r_old.n != r_new.n:
         raise ValueError(f"rankings must agree on the variable count ({r_old.n} vs {r_new.n})")
-    cells = table.cells
-    return Ranking(r_old.n, tuple(cells[(i - 1) * 3 + (j - 1)] for i, j in zip(r_old.levels, r_new.levels)))
+    return Ranking(r_old.n, _combine(table, _cell_indices(r_old, r_new)))
 
 
 def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
@@ -161,15 +180,14 @@ def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
     return tuple((base, Ranking(1, shifted)) for shifted in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
+class CharacterizationResult(_Record):
     """Outcome of checking the postulate formulas of one table; truthy iff they
     matched the semantic operator on every checked pair and rebuilt the table."""
 
-    table: OperatorTable
-    n: int
-    pairs_checked: int
-    failure: str | None = None
+    __slots__ = _fields = ("table", "n", "pairs_checked", "failure")
+
+    def __init__(self, table: OperatorTable, n: int, pairs_checked: int, failure: str | None = None):
+        self._init(table, n, pairs_checked, failure)
 
     @property
     def ok(self) -> bool:
@@ -196,17 +214,18 @@ def check_characterization(
     return check_characterizations([table], n, pairs)[0]
 
 
-def _pair_failure(table, r_old, r_new, f, g, cells, n, memo) -> str | None:
+def _pair_failure(table, indices, f, g, n, memo) -> str | None:
     """Why ``table``'s postulates fail on one pair, or ``None`` if they hold."""
-    combined = apply_semantic(table, r_old, r_new).levels
+    combined = _combine(table, indices)
     for target in LEVELS:
         profile = value_profile(postulate_formula(table, target, f, g), n, memo)
         if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
             return f"target {target} postulate models mismatch"
     # the model sets match, so each world satisfies the postulate of its combined level alone
-    for cell, level in zip(cells, combined):
-        if level != table.k(*cell):
-            return f"cell {cell} rebuilt as {[level]} instead of {table.k(*cell)}"
+    cells = table.cells
+    for k, level in zip(indices, combined):
+        if level != cells[k]:
+            return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
     return None
 
 
@@ -225,16 +244,16 @@ def check_characterizations(
     tables = list(tables)
     results: list[CharacterizationResult | None] = [None] * len(tables)
     live = range(len(tables))  # positions of the tables still without a result
-    covered: set[tuple[int, int]] = set()
+    covered: set[int] = set()  # cell indices
     checked = 0
     for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
         memo = _pair_memo(n, r_old, r_new)
         checked += 1
         f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
-        cells = tuple(zip(r_old.levels, r_new.levels))
-        covered.update(cells)
+        indices = _cell_indices(r_old, r_new)
+        covered.update(indices)
         for t in live:
-            if reason := _pair_failure(tables[t], r_old, r_new, f, g, cells, n, memo):
+            if reason := _pair_failure(tables[t], indices, f, g, n, memo):
                 where = f"old={r_old.serialize()} new={r_new.serialize()}"
                 results[t] = CharacterizationResult(tables[t], n, checked, f"{reason} for {where}")
         if not (live := [t for t in live if results[t] is None]):
@@ -243,13 +262,13 @@ def check_characterizations(
     return [CharacterizationResult(table, n, checked, failure) if r is None else r for table, r in zip(tables, results)]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Characterization outcomes over a family of tables."""
 
-    n: int
-    total: int
-    failures: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("n", "total", "failures")
+
+    def __init__(self, n: int, total: int, failures: tuple[tuple[str, str], ...]):
+        self._init(n, total, failures)
 
     @property
     def ok(self) -> bool:
@@ -279,18 +298,18 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
 CI_POSTULATE_NAMES = ("CI1", "CI2", "CI3", "CI4", "CI5", "CI6", "CI7", "CI8", "CI1'", "CI2'")
 
 
-@dataclass(frozen=True)
-class PostulateResult:
-    name: str
-    holds: bool
-    witness: str | None = None
+class PostulateResult(_Record):
+    __slots__ = _fields = ("name", "holds", "witness")
+
+    def __init__(self, name: str, holds: bool, witness: str | None = None):
+        self._init(name, holds, witness)
 
 
-@dataclass(frozen=True)
-class CiPostulateReport:
-    n: int
-    pairs_checked: int
-    results: tuple[PostulateResult, ...]
+class CiPostulateReport(_Record):
+    __slots__ = _fields = ("n", "pairs_checked", "results")
+
+    def __init__(self, n: int, pairs_checked: int, results: tuple[PostulateResult, ...]):
+        self._init(n, pairs_checked, results)
 
     @property
     def ok(self) -> bool:

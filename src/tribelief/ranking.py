@@ -8,9 +8,9 @@ some formula, built here out of capture formulas for its level sets.
 """
 
 import itertools
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from .semantics import (
     Interpretation,
@@ -39,23 +39,76 @@ def value_of_level(level: int) -> TruthValue:
     return value
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Total map from the 3**n interpretations to levels 1..3.
+def _world_count(n: int) -> int:
+    """3**n, the number of interpretations of ``n`` variables."""
+    if n < 0:
+        raise ValueError("variable count must be non-negative")
+    return 3**n
 
-    ``levels`` is stored in the canonical interpretation order.
+
+class _Record:
+    """Base class for immutable value records.
+
+    A record's fields are named in ``_fields`` (also its ``__slots__``)
+    and set once by its own ``__init__`` through ``_init``.  A record
+    equals only a record of the same class with equal fields, hashes as the
+    tuple of its fields, prints as ``Name(field=value, ...)``, and copies
+    and pickles by calling its constructor again.
     """
 
-    n: int
-    levels: tuple[int, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("variable count must be non-negative")
-        if len(self.levels) != 3**self.n:
-            raise ValueError(f"expected {3 ** self.n} levels for n={self.n}, got {len(self.levels)}")
-        if any(level not in LEVELS for level in self.levels):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the tuple of a record's fields, read in C since rankings are hot
+        # set members and cache keys; attrgetter of one name gives the bare value
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # the frozen __setattr__ rules out the default slot-state restore
+        return type(self), self._values(self)
+
+
+class Ranking(_Record):
+    """Total map from the 3**n interpretations to levels 1..3.
+
+    ``levels`` is stored as a tuple in the canonical interpretation order.
+    """
+
+    __slots__ = _fields = ("n", "levels")
+
+    def __init__(self, n: int, levels: Iterable[int]):
+        count = _world_count(n)
+        levels = tuple(levels)
+        if len(levels) != count:
+            raise ValueError(f"expected {count} levels for n={n}, got {len(levels)}")
+        if any(level not in LEVELS for level in levels):
             raise ValueError("levels must be 1, 2 or 3")
+        self._init(n, levels)
 
     def level(self, w: Interpretation) -> int:
         return self.levels[interpretation_index(w)]
@@ -71,8 +124,9 @@ class Ranking:
 
     @classmethod
     def deserialize(cls, text: str, n: int) -> "Ranking":
-        if len(text) != 3**n or any(c not in "123" for c in text):
-            raise ValueError(f"expected {3 ** n} characters from {{1,2,3}}, got {text!r}")
+        count = _world_count(n)
+        if len(text) != count or any(c not in "123" for c in text):
+            raise ValueError(f"expected {count} characters from {{1,2,3}}, got {text!r}")
         return cls(n, tuple(int(c) for c in text))
 
     @classmethod
@@ -84,6 +138,7 @@ class Ranking:
         rejected: Iterable[Interpretation],
     ) -> "Ranking":
         """Build from the three level sets, which must partition interpretations(n)."""
+        count = _world_count(n)
         levels: dict[int, int] = {}
         for level, worlds in ((1, accepted), (2, uncertain), (3, rejected)):
             for w in worlds:
@@ -91,9 +146,9 @@ class Ranking:
                 if index in levels:
                     raise ValueError(f"interpretation {format_interpretation(w)!r} assigned twice")
                 levels[index] = level
-        if len(levels) != 3**n:
-            raise ValueError(f"level sets cover {len(levels)} of {3 ** n} interpretations")
-        return cls(n, tuple(levels[i] for i in range(3**n)))
+        if len(levels) != count:
+            raise ValueError(f"level sets cover {len(levels)} of {count} interpretations")
+        return cls(n, tuple(levels[i] for i in range(count)))
 
     def to_lines(self) -> list[str]:
         """One line per interpretation in canonical order: ``d0 d1 ... : L``."""
@@ -144,9 +199,7 @@ class Ranking:
 
 def all_rankings(n: int) -> Iterator[Ranking]:
     """Every ranking over interpretations(n), in serialization order."""
-    if n < 0:
-        raise ValueError("variable count must be non-negative")
-    return (Ranking(n, levels) for levels in itertools.product(LEVELS, repeat=3**n))
+    return (Ranking(n, levels) for levels in itertools.product(LEVELS, repeat=_world_count(n)))
 
 
 def ranking_of_formula(formula: Formula, n: int, memo: dict | None = None) -> Ranking:

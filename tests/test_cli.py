@@ -454,3 +454,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0:2 u:2 1:2\n"
+
+
+def test_cli_import_stays_light():
+    # python -S keeps site-packages' own imports out of the picture; every
+    # tri command pays for what this import pulls in, and perfbench's tracer
+    # needs all six modules loaded once tribelief.cli is imported
+    source = str(Path(tribelief.__file__).resolve().parent.parent)
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import tribelief.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, source], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    modules = ("syntax", "semantics", "ranking", "operators", "definability", "cli")
+    assert {f"tribelief.{name}" for name in modules} <= loaded

@@ -270,8 +270,8 @@ def _plant_transposition(monkeypatch):
     def transposed(table):
         return OperatorTable(tuple(table.k(j, i) for i in range(1, 4) for j in range(1, 4)))
 
-    real_apply, real_postulate = operators.apply_semantic, operators.postulate_formula
-    monkeypatch.setattr(operators, "apply_semantic", lambda t, a, b: real_apply(transposed(t), a, b))
+    real_combine, real_postulate = operators._combine, operators.postulate_formula
+    monkeypatch.setattr(operators, "_combine", lambda t, indices: real_combine(transposed(t), indices))
     monkeypatch.setattr(
         operators, "postulate_formula", lambda t, target, f, g: real_postulate(transposed(t), target, f, g)
     )

@@ -4,16 +4,16 @@ Each connective acts on induced rankings: negation flips levels 1 and 3,
 disjunction takes the cell-wise minimum level, conjunction the maximum,
 ``[]1`` raises 3 to 2 and 2 to 1, and ``[]2`` raises 2 to 1 while fixing 1
 and 3.  This module computes brute-force closures of ranking sets under
-those operations and verifies which rankings stay out of reach when only
-one of the two boxes is available.
+those operations and checks what stays out of reach with one box, by the
+invariant it keeps: with ``[]1`` alone no two neighbouring worlds sit at
+levels 1 and 3, and with ``[]2`` alone no classical world sits at level 2.
 """
 
 import enum
 from collections.abc import Iterable
-from functools import lru_cache
 
 from .ranking import Ranking, _Record, all_rankings, level_of_value, value_of_level
-from .semantics import BINARY_TABLES, UNARY_TABLES
+from .semantics import BINARY_TABLES, UNARY_TABLES, TruthValue
 from .syntax import And, Box1, Box2, Not, Or
 
 
@@ -84,46 +84,30 @@ def closure(generators: Iterable[Ranking], ops: Iterable[PreorderOp]) -> frozens
     return frozenset(members)
 
 
-def _mid_world_level(r: Ranking) -> int:
-    # the all-u interpretation sits at index 3**n // 2 for n = 1
-    return r.levels[1]
-
-
-@lru_cache(maxsize=1)
 def forbidden_family_box1() -> frozenset[Ranking]:
-    """Rankings of one variable unreachable from x0 with negation, disjunction
-    and []1 alone: the linear ones placing the all-u world at an extreme
-    level, and the ones with an empty middle level."""
-    family = []
-    for r in all_rankings(1):
-        sizes = [len(r.level_set(level)) for level in (1, 2, 3)]
-        linear = sizes == [1, 1, 1]
-        if linear and _mid_world_level(r) in (1, 3):
-            family.append(r)
-        elif sizes in ([2, 0, 1], [1, 0, 2]):
-            family.append(r)
-    return frozenset(family)
+    """Rankings unreachable from x0 with negation, disjunction and []1 alone:
+    those putting two neighbouring worlds, whose values differ by at most one
+    step in 0 < u < 1 at every variable, at levels 1 and 3.
+
+    x0 puts neighbours at most one level apart and bot is constant, and
+    ``~``, join, meet and ``[]1`` move a value by at most one step when each
+    input moves by at most one.  ``[]2``, sending u to 1 and fixing 0, does not.
+    """
+    return frozenset(
+        r for r in all_rankings(1)
+        if any(all(abs(a - b) <= 1 for a, b in zip(w, v)) for w in r.level_set(1) for v in r.level_set(3))
+    )
 
 
-@lru_cache(maxsize=1)
 def forbidden_family_box2() -> frozenset[Ranking]:
-    """Rankings of one variable unreachable from x0 with negation, disjunction
-    and []2 alone."""
-    family = []
-    for r in all_rankings(1):
-        sizes = [len(r.level_set(level)) for level in (1, 2, 3)]
-        mid = _mid_world_level(r)
-        linear = sizes == [1, 1, 1]
-        if (
-            (linear and mid in (1, 3))
-            or sizes == [0, 3, 0]
-            or (sizes == [2, 1, 0] and mid == 1)
-            or (sizes == [0, 1, 2] and mid == 3)
-            or sizes == [1, 2, 0]
-            or sizes == [0, 2, 1]
-        ):
-            family.append(r)
-    return frozenset(family)
+    """Rankings unreachable from x0 with negation, disjunction and []2 alone:
+    those putting a classical world, where no variable is u, at level 2.
+
+    ``~``, join, meet and ``[]2`` send classical values to classical values,
+    and x0 and bot are classical at classical worlds.  ``[]1``, sending 0 to
+    u, does not.
+    """
+    return frozenset(r for r in all_rankings(1) if any(TruthValue.UNDET not in w for w in r.level_set(2)))
 
 
 class NondefinabilityReport(_Record):

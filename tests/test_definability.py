@@ -244,11 +244,60 @@ def test_forbidden_family_membership_examples():
     f1 = forbidden_family_box1()
     assert serial("312") in f1
     assert serial("311") in f1
+    assert ranking_of_formula(Box2(Var(0)), 1) in f1
     assert X0_RANKING not in f1
     f2 = forbidden_family_box2()
     assert serial("222") in f2
     assert serial("122") in f2
+    assert ranking_of_formula(Box1(Var(0)), 1) in f2
     assert X0_RANKING not in f2
+
+
+# Each variant's invariant as the level tuples a place may hold: a place is
+# a pair of neighbouring worlds for box1 and a classical world for box2.
+# Its own box is the one allowed, and the other box is the one missing.
+_INVARIANTS = {
+    "box1": (PreorderOp.BOX1, PreorderOp.BOX2, {(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if {a, b} != {1, 3}}),
+    "box2": (PreorderOp.BOX2, PreorderOp.BOX1, {(1,), (3,)}),
+}
+
+# The places at n=1, whose worlds are 0, u and 1 at indices 0, 1 and 2.
+_N1_PLACES = {"box1": [(0, 1), (1, 0), (1, 2), (2, 1)], "box2": [(0,), (2,)]}
+
+_FAMILIES = {"box1": forbidden_family_box1, "box2": forbidden_family_box2}
+
+
+def _preserves(op, allowed):
+    """Whether ``op``, acting world by world, sends operands whose levels at a
+    place are allowed to a result whose levels there are allowed too."""
+    def at_one_world(*levels):
+        return apply_op(op, *(Ranking(0, (level,)) for level in levels)).levels[0]
+
+    arity = 1 if op in UNARY_OPS else 2
+    return all(
+        tuple(at_one_world(*world) for world in zip(*operands)) in allowed
+        for operands in itertools.product(allowed, repeat=arity)
+    )
+
+
+def _keeps_invariant(variant, r):
+    allowed = _INVARIANTS[variant][2]
+    return all(tuple(r.levels[i] for i in place) in allowed for place in _N1_PLACES[variant])
+
+
+@pytest.mark.parametrize("variant", sorted(_INVARIANTS))
+def test_allowed_operations_preserve_the_invariant(variant):
+    own_box, missing_box, allowed = _INVARIANTS[variant]
+    for op in (PreorderOp.NEG, PreorderOp.JOIN, PreorderOp.MEET, own_box):
+        assert _preserves(op, allowed), op
+    assert not _preserves(missing_box, allowed)
+
+
+@pytest.mark.parametrize("variant", sorted(_INVARIANTS))
+def test_forbidden_family_is_what_breaks_the_invariant(variant):
+    assert _keeps_invariant(variant, X0_RANKING) and _keeps_invariant(variant, CONTRADICTION_RANKING)
+    broken = {r for r in all_rankings(1) if not _keeps_invariant(variant, r)}
+    assert _FAMILIES[variant]() == broken
 
 
 def test_nondefinability_box1():

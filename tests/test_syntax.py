@@ -152,6 +152,8 @@ def test_render_examples():
     assert render(Bot()) == "bot"
     assert render(Dia1(Or(Var(0), Var(1)))) == "<>1 (x0 | x1)"
     assert render(And(Box1(Var(0)), Box1(Not(Var(0))))) == "[]1 x0 & []1 ~x0"
+    with pytest.raises(TypeError, match="^not a formula node: 'x0'$"):
+        render("x0")
 
 
 def test_render_minimal_parentheses():
@@ -180,7 +182,7 @@ def test_parse_render_round_trip(f):
 
 @given(formulas(max_index=3))
 def test_render_is_deterministic(f):
-    assert render(f) == render(f)
+    assert render(f) == render(f) == str(f)
 
 
 @given(st.text(alphabet="x012u&|->()~<>[] bot", max_size=30))

@@ -10,6 +10,7 @@ operator ``ci``.
 """
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 
@@ -109,12 +110,17 @@ def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
     return formula_of_ranking(apply_semantic(table, ranking_of_formula(f, n), ranking_of_formula(g, n)))
 
 
+# per target, a bytes.translate table sending a cell's level to 1 if it is the target, else 0
+_TARGET_FLAGS = {t: bytes.maketrans(bytes(LEVELS), bytes([level == t for level in LEVELS])) for t in LEVELS}
+
+
 @lru_cache(maxsize=32)
-def _cell_conjunctions(f: Formula, g: Formula) -> tuple[tuple[Formula, ...], dict[int, Formula]]:
+def _cell_conjunctions(f: Formula, g: Formula) -> tuple[tuple[Formula, ...], dict[bytes, Formula]]:
     """The nine cell conjunctions of a pair, row-major, and its Or-chains.
 
     Nodes are hash-consed, so the key is by identity.  ``postulate_formula``
-    fills the dict, which maps a 9-bit cell mask to the Or-chain of those cells.
+    fills the dict, which maps nine 0/1 bytes (row-major, 1 for a cell sent to
+    the target) to the Or-chain of the flagged cells.
     """
     return tuple(And(level_indicator(f, i), level_indicator(g, j)) for i in LEVELS for j in LEVELS), {}
 
@@ -138,11 +144,9 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     if target not in LEVELS:
         raise ValueError("levels must be 1, 2 or 3")
     conjunctions, chains = _cell_conjunctions(f, g)
-    mask = 0
-    for k in table.cells:
-        mask = mask * 2 + (k == target)
-    if (out := chains.get(mask)) is None:
-        out = chains[mask] = reduce(Or, [c if k == target else Bot() for c, k in zip(conjunctions, table.cells)])
+    flags = bytes(table.cells).translate(_TARGET_FLAGS[target])
+    if (out := chains.get(flags)) is None:
+        out = chains[flags] = reduce(Or, [c if hit else Bot() for c, hit in zip(conjunctions, flags)])
     return out
 
 
@@ -156,15 +160,17 @@ def _capture_profile_seed(n: int) -> dict:
 
 
 @lru_cache(maxsize=32)
-def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> dict:
-    """The profile memo of one ranking pair, seeded with the capture profiles.
+def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> tuple[dict, dict]:
+    """The profile memo of one ranking pair, seeded with the capture profiles,
+    and the pair's model codes of the postulate nodes checked on it.
 
-    It is keyed by node, so it holds correct profiles for any caller.  The
-    cache keeps the sweep's few covering pairs warm from one call to the next.
+    Both are keyed by node, so they hold correct entries for any caller.  A
+    node's code has bit 3*w set for each model w.  The cache keeps the
+    sweep's few covering pairs warm from one call to the next.
     """
     if r_old.n != n or r_new.n != n:
         raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
-    return dict(_capture_profile_seed(n))
+    return dict(_capture_profile_seed(n)), {}
 
 
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
@@ -214,18 +220,33 @@ def check_characterization(
     return check_characterizations([table], n, pairs)[0]
 
 
-def _pair_failure(table, indices, f, g, n, memo) -> str | None:
-    """Why ``table``'s postulates fail on one pair, or ``None`` if they hold."""
+def _pair_failure(table, indices, f, g, n, memo, codes, places) -> str | None:
+    """Why ``table``'s postulates fail on one pair, or ``None`` if they hold.
+
+    ``places`` holds 1 << 3*w for each world w.  The combined levels pack as
+    one bit per world at 3*w + level, the postulates as each node's code (its
+    models' places) shifted by its target, and the two ints must be equal.
+    """
     combined = _combine(table, indices)
+    packed = 0
     for target in LEVELS:
-        profile = value_profile(postulate_formula(table, target, f, g), n, memo)
-        if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
-            return f"target {target} postulate models mismatch"
-    # the model sets match, so each world satisfies the postulate of its combined level alone
+        node = postulate_formula(table, target, f, g)
+        if (code := codes.get(node)) is None:
+            profile = value_profile(node, n, memo)
+            code = codes[node] = sum(itertools.compress(places, [v is TruthValue.TRUE for v in profile]))
+        packed |= code << target
+    if packed != sum(map(operator.lshift, places, combined)):
+        for target in LEVELS:
+            profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+            if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
+                return f"target {target} postulate models mismatch"
+    # the model sets match, so each world satisfies the postulate of its combined level
+    # alone; the table rebuilt from them must read the same as its cells
     cells = table.cells
-    for k, level in zip(indices, combined):
-        if level != cells[k]:
-            return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
+    if combined != tuple(map(cells.__getitem__, indices)):
+        for k, level in zip(indices, combined):
+            if level != cells[k]:
+                return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
     return None
 
 
@@ -238,6 +259,14 @@ def check_characterizations(
 
     A table that fails sits out the remaining pairs, so each result is the
     one a check of that table alone gives.
+
+    What the tables share is per pair (``_pair_memo``): the profile memo, and
+    the models of each postulate node checked so far, packed into one int.
+    A node is the Or-chain of the cells sent to its target, so a pair holds
+    at most 512 of them however many tables it checks.  Each table still
+    gets its own combined levels and its own three postulate nodes, and is
+    held to the models of exactly those nodes; a wrong node is keyed as
+    itself, so its models are its own and it fails as it would cold.
     """
     if n < 1:
         raise ValueError("characterization needs at least one variable")
@@ -246,14 +275,15 @@ def check_characterizations(
     live = range(len(tables))  # positions of the tables still without a result
     covered: set[int] = set()  # cell indices
     checked = 0
+    places = [1 << 3 * w for w in range(3**n)]
     for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        memo = _pair_memo(n, r_old, r_new)
+        memo, codes = _pair_memo(n, r_old, r_new)
         checked += 1
         f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
         indices = _cell_indices(r_old, r_new)
         covered.update(indices)
         for t in live:
-            if reason := _pair_failure(tables[t], indices, f, g, n, memo):
+            if reason := _pair_failure(tables[t], indices, f, g, n, memo, codes, places):
                 where = f"old={r_old.serialize()} new={r_new.serialize()}"
                 results[t] = CharacterizationResult(tables[t], n, checked, f"{reason} for {where}")
         if not (live := [t for t in live if results[t] is None]):
@@ -345,7 +375,7 @@ def check_ci_postulates(
         return formula_of_ranking(apply_semantic(table, r_a, r_b))
 
     for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        memo = _pair_memo(n, r_old, r_new)
+        memo = _pair_memo(n, r_old, r_new)[0]
         checked += 1
 
         def prof(h: Formula) -> tuple[TruthValue, ...]:
@@ -390,7 +420,7 @@ def check_ci_postulates(
 def _equiv_gap(lhs_of, rhs_of, n: int) -> tuple[Ranking, Ranking, int] | None:
     table = ci_table()
     for r_old, r_new in itertools.product(all_rankings(n), repeat=2):
-        memo = _pair_memo(n, r_old, r_new)
+        memo = _pair_memo(n, r_old, r_new)[0]
         phi = formula_of_ranking(r_old)
         theta = formula_of_ranking(r_new)
         star = formula_of_ranking(apply_semantic(table, r_old, r_new))

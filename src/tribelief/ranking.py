@@ -111,6 +111,8 @@ class Ranking(_Record):
         self._init(n, levels)
 
     def level(self, w: Interpretation) -> int:
+        if len(w) != self.n:
+            raise ValueError(f"expected an interpretation of {self.n} variable(s), got {len(w)} value(s)")
         return self.levels[interpretation_index(w)]
 
     def level_set(self, level: int) -> tuple[Interpretation, ...]:

@@ -440,26 +440,36 @@ def _plant_other_postulates(monkeypatch, bad_tables):
 _FEW_TABLES = [ci_table(), drastic_table(), OperatorTable((1, 1, 2, 2, 3, 3, 1, 3, 2))]
 
 
+_REFERENCE_CASES = [
+    (_seeded_block(31337), "covering", None),
+    (_seeded_block(31337), "covering", "other postulates"),
+    (_seeded_block(31337), "covering", "transposed"),
+    (_seeded_block(31337), "non-covering", None),
+    # all 729 pairs; the tables without a planted defect pass them all
+    (_FEW_TABLES, "all", "other postulates"),
+    (_FEW_TABLES, "all", "transposed"),
+]
+
+
 @pytest.mark.parametrize(
-    "tables, pairs, defect",
-    [
-        (_seeded_block(31337), "covering", None),
-        (_seeded_block(31337), "covering", "other postulates"),
-        (_seeded_block(31337), "covering", "transposed"),
-        (_seeded_block(31337), "non-covering", None),
-        # all 729 pairs; the tables without a planted defect pass them all
-        (_FEW_TABLES, "all", "other postulates"),
-        (_FEW_TABLES, "all", "transposed"),
+    "tables, pairs, defect, warm",
+    [(*case, warm) for case in _REFERENCE_CASES for warm in (False, True)],
+    ids=[
+        f"{len(tables)}-tables-{pairs}-{defect}" + ("-warm" if warm else "")
+        for tables, pairs, defect in _REFERENCE_CASES
+        for warm in (False, True)
     ],
-    ids=lambda value: f"{len(value)}-tables" if isinstance(value, list) else value,
 )
-def test_pair_major_check_matches_the_table_major_reference(monkeypatch, tables, pairs, defect):
+def test_pair_major_check_matches_the_table_major_reference(monkeypatch, tables, pairs, defect, warm):
     defective = defect is not None or pairs == "non-covering"
     pairs = {
         "covering": covering_ranking_pairs(1),
         "non-covering": [(Ranking(1, (1, 2, 2)), Ranking(1, (3, 1, 1)))],
         "all": None,
     }[pairs]
+    if warm:
+        # every node the clean check meets is evaluated and cached before the defect is planted
+        check_characterizations(tables, 1, pairs)
     if defect == "other postulates":
         _plant_other_postulates(monkeypatch, tables[1::3])
     elif defect == "transposed":
@@ -493,6 +503,16 @@ def test_check_characterizations_edge_cases():
         check_characterizations([ci_table()], 0)
     with pytest.raises(ValueError, match="ranking pairs must be over 1 variable"):
         check_characterizations([ci_table()], 1, pairs=covering_ranking_pairs(2))
+
+
+def test_sweep_keeps_the_pair_state_bounded_by_its_postulate_nodes():
+    # 19,683 tables on one 9-world pair; the pair caches model sets per postulate node, not per table
+    operators._pair_memo.cache_clear()
+    assert sweep_all_tables(2)
+    ((old, new),) = covering_ranking_pairs(2)
+    _, codes = operators._pair_memo(2, old, new)
+    assert operators._pair_memo.cache_info().misses == 1  # the entry the sweep filled
+    assert 512 <= len(codes) <= 3 * 512
 
 
 def test_postulate_chains_are_the_freshly_built_nodes():

@@ -54,6 +54,14 @@ def test_ranking_level_lookup():
     assert r.level((T,)) == 1
 
 
+@pytest.mark.parametrize("w", [(T,), (T, U, F), ()], ids=["short", "long", "empty"])
+def test_ranking_level_rejects_an_interpretation_of_another_size(w):
+    # a short world used to read another world's level, a long one a bare IndexError
+    r = Ranking(2, (1, 2, 3) * 3)
+    with pytest.raises(ValueError, match=rf"^expected an interpretation of 2 variable\(s\), got {len(w)} value\(s\)$"):
+        r.level(w)
+
+
 def test_level_sets():
     r = Ranking(1, (3, 2, 1))
     assert r.level_set(1) == ((T,),)

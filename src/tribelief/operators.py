@@ -17,6 +17,7 @@ from functools import lru_cache, reduce
 from .ranking import (
     LEVELS,
     Ranking,
+    _are_levels,
     _Record,
     all_rankings,
     capture_valuation,
@@ -39,7 +40,7 @@ class OperatorTable(_Record):
 
     def __init__(self, cells: Iterable[int]):
         cells = tuple(cells)
-        if len(cells) != 9 or any(c not in LEVELS for c in cells):
+        if len(cells) != 9 or not _are_levels(cells):
             raise ValueError("an operator table is 9 cells with values 1, 2 or 3")
         self._init(cells)
 
@@ -135,6 +136,11 @@ def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, 
     return _cell_conjunctions(f, g)[0][(i - 1) * 3 + (j - 1)]
 
 
+def _postulate_flags(table: OperatorTable, target: int) -> bytes:
+    """Nine 0/1 bytes, row-major: 1 for each cell ``table`` sends to ``target``."""
+    return bytes(table.cells).translate(_TARGET_FLAGS[target])
+
+
 def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula) -> Formula:
     """Disjunction of the cell formulas for ``target`` over all nine cells.
 
@@ -144,7 +150,7 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     if target not in LEVELS:
         raise ValueError("levels must be 1, 2 or 3")
     conjunctions, chains = _cell_conjunctions(f, g)
-    flags = bytes(table.cells).translate(_TARGET_FLAGS[target])
+    flags = _postulate_flags(table, target)
     if (out := chains.get(flags)) is None:
         out = chains[flags] = reduce(Or, [c if hit else Bot() for c, hit in zip(conjunctions, flags)])
     return out
@@ -162,11 +168,12 @@ def _capture_profile_seed(n: int) -> dict:
 @lru_cache(maxsize=32)
 def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> tuple[dict, dict]:
     """The profile memo of one ranking pair, seeded with the capture profiles,
-    and the pair's model codes of the postulate nodes checked on it.
+    and the pair's model codes of the postulates checked on it.
 
-    Both are keyed by node, so they hold correct entries for any caller.  A
-    node's code has bit 3*w set for each model w.  The cache keeps the
-    sweep's few covering pairs warm from one call to the next.
+    ``codes`` maps a postulate's flags (see ``_postulate_flags``) to its
+    models on this pair, with bit 3*w set for each model w; on one pair the
+    postulate is a function of its flags.  The cache keeps the sweep's few
+    covering pairs warm from one call to the next.
     """
     if r_old.n != n or r_new.n != n:
         raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
@@ -220,34 +227,77 @@ def check_characterization(
     return check_characterizations([table], n, pairs)[0]
 
 
-def _pair_failure(table, indices, f, g, n, memo, codes, places) -> str | None:
-    """Why ``table``'s postulates fail on one pair, or ``None`` if they hold.
+def _code(table, target, f, g, n, memo) -> int:
+    """The models of ``table``'s target postulate on the pair of ``memo``, packed."""
+    profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+    return sum(1 << 3 * w for w, v in enumerate(profile) if v is TruthValue.TRUE)
 
-    ``places`` holds 1 << 3*w for each world w.  The combined levels pack as
-    one bit per world at 3*w + level, the postulates as each node's code (its
-    models' places) shifted by its target, and the two ints must be equal.
-    """
-    combined = _combine(table, indices)
-    packed = 0
+
+def _explain(table, combined, indices, f, g, n, memo) -> str | None:
+    """Why ``table``'s postulates fail on the pair of ``memo``, or ``None`` if they hold."""
     for target in LEVELS:
-        node = postulate_formula(table, target, f, g)
-        if (code := codes.get(node)) is None:
-            profile = value_profile(node, n, memo)
-            code = codes[node] = sum(itertools.compress(places, [v is TruthValue.TRUE for v in profile]))
-        packed |= code << target
-    if packed != sum(map(operator.lshift, places, combined)):
-        for target in LEVELS:
-            profile = value_profile(postulate_formula(table, target, f, g), n, memo)
-            if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
-                return f"target {target} postulate models mismatch"
+        profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+        if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
+            return f"target {target} postulate models mismatch"
     # the model sets match, so each world satisfies the postulate of its combined level
     # alone; the table rebuilt from them must read the same as its cells
     cells = table.cells
-    if combined != tuple(map(cells.__getitem__, indices)):
-        for k, level in zip(indices, combined):
-            if level != cells[k]:
-                return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
+    for k, level in zip(indices, combined):
+        if level != cells[k]:
+            return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
     return None
+
+
+def _failures(
+    tables: list[OperatorTable], n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None
+) -> tuple[dict[int, tuple[int, str]], int]:
+    """The failed tables' positions, each with the pairs checked and the reason,
+    and the number of pairs checked.
+
+    Per pair, a table passes when the packed models of its three postulates,
+    each shifted by its target, equal its packed combined levels, and its
+    combined levels read the same as its cells at the pair's indices.
+    """
+    flags = [[_postulate_flags(table, target) for target in LEVELS] for table in tables]
+    failures: dict[int, tuple[int, str]] = {}
+    live = range(len(tables))  # positions of the tables that have not failed
+    covered: set[int] = set()  # cell indices
+    checked = 0
+    places = [1 << 3 * w for w in range(3**n)]
+    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        memo, codes = _pair_memo(n, r_old, r_new)
+        expected: dict[tuple[int, ...], int] = {}  # combined levels -> bit 3*w + level for each world w
+        checked += 1
+        f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
+        indices = _cell_indices(r_old, r_new)
+        read = operator.itemgetter(*indices)
+        covered.update(indices)
+        before = len(failures)
+        for t in live:
+            table = tables[t]
+            combined = _combine(table, indices)
+            if (want := expected.get(combined)) is None:
+                want = expected[combined] = sum(map(operator.lshift, places, combined))
+            one, two, three = flags[t]
+            try:
+                packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
+            except KeyError:  # a postulate not yet met on this pair
+                for target, key in zip(LEVELS, flags[t]):
+                    if key not in codes:
+                        codes[key] = _code(table, target, f, g, n, memo)
+                packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
+            if (packed != want or combined != read(table.cells)) and (
+                reason := _explain(table, combined, indices, f, g, n, memo)
+            ):
+                failures[t] = checked, f"{reason} for old={r_old.serialize()} new={r_new.serialize()}"
+        if len(failures) != before:
+            live = [t for t in live if t not in failures]
+        if not live:
+            break
+    if len(covered) != 9:
+        for t in live:
+            failures[t] = checked, "checked pairs do not cover all nine level cells"
+    return failures, checked
 
 
 def check_characterizations(
@@ -260,36 +310,26 @@ def check_characterizations(
     A table that fails sits out the remaining pairs, so each result is the
     one a check of that table alone gives.
 
-    What the tables share is per pair (``_pair_memo``): the profile memo, and
-    the models of each postulate node checked so far, packed into one int.
-    A node is the Or-chain of the cells sent to its target, so a pair holds
-    at most 512 of them however many tables it checks.  Each table still
-    gets its own combined levels and its own three postulate nodes, and is
-    held to the models of exactly those nodes; a wrong node is keyed as
-    itself, so its models are its own and it fails as it would cold.
+    Each table's three postulate flags (the cells it sends to each target)
+    are computed once per call.  What the tables share is per pair
+    (``_pair_memo``): the profile memo, and the models of each postulate
+    checked so far, packed into one int and keyed by its flags.  On one pair
+    a postulate is the Or-chain of its flagged cells, a function of its
+    flags alone, so keying by flags is keying by node, and a pair holds at
+    most 512 codes however many tables it checks.  Within one call, a pair
+    also keeps the packed levels of each combined-levels tuple it meets.  A
+    table is still held to its own combined levels and to the models of the
+    postulates named by its own flags; a table whose postulates are wrong
+    has the flags of those wrong postulates, whose codes are their true
+    models, so it fails as it would cold.
     """
     if n < 1:
         raise ValueError("characterization needs at least one variable")
     tables = list(tables)
-    results: list[CharacterizationResult | None] = [None] * len(tables)
-    live = range(len(tables))  # positions of the tables still without a result
-    covered: set[int] = set()  # cell indices
-    checked = 0
-    places = [1 << 3 * w for w in range(3**n)]
-    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        memo, codes = _pair_memo(n, r_old, r_new)
-        checked += 1
-        f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
-        indices = _cell_indices(r_old, r_new)
-        covered.update(indices)
-        for t in live:
-            if reason := _pair_failure(tables[t], indices, f, g, n, memo, codes, places):
-                where = f"old={r_old.serialize()} new={r_new.serialize()}"
-                results[t] = CharacterizationResult(tables[t], n, checked, f"{reason} for {where}")
-        if not (live := [t for t in live if results[t] is None]):
-            break
-    failure = None if len(covered) == 9 else "checked pairs do not cover all nine level cells"
-    return [CharacterizationResult(table, n, checked, failure) if r is None else r for table, r in zip(tables, results)]
+    failures, checked = _failures(tables, n, pairs)
+    return [
+        CharacterizationResult(table, n, *failures.get(t, (checked, None))) for t, table in enumerate(tables)
+    ]
 
 
 class SweepResult(_Record):
@@ -321,7 +361,8 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     total = 0
     while block := list(itertools.islice(tables, _SWEEP_BLOCK)):
         total += len(block)
-        failures += [(r.table.serialize(), r.failure) for r in check_characterizations(block, n, pairs) if not r]
+        failed = _failures(block, n, pairs)[0]
+        failures += [(block[t].serialize(), failed[t][1]) for t in sorted(failed)]
     return SweepResult(n, total, tuple(failures))
 
 

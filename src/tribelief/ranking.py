@@ -39,6 +39,16 @@ def value_of_level(level: int) -> TruthValue:
     return value
 
 
+def _are_levels(values: tuple) -> bool:
+    """Whether every value is the int 1, 2 or 3; a float or bool equal to one is not."""
+    return all(type(v) is int and v in LEVELS for v in values)
+
+
+def _check_world_size(w: Interpretation, n: int) -> None:
+    if len(w) != n:
+        raise ValueError(f"interpretation {w!r} has {len(w)} values, expected {n}")
+
+
 def _world_count(n: int) -> int:
     """3**n, the number of interpretations of ``n`` variables."""
     if n < 0:
@@ -106,7 +116,7 @@ class Ranking(_Record):
         levels = tuple(levels)
         if len(levels) != count:
             raise ValueError(f"expected {count} levels for n={n}, got {len(levels)}")
-        if any(level not in LEVELS for level in levels):
+        if not _are_levels(levels):
             raise ValueError("levels must be 1, 2 or 3")
         self._init(n, levels)
 
@@ -144,6 +154,7 @@ class Ranking(_Record):
         levels: dict[int, int] = {}
         for level, worlds in ((1, accepted), (2, uncertain), (3, rejected)):
             for w in worlds:
+                _check_world_size(w, n)
                 index = interpretation_index(w)
                 if index in levels:
                     raise ValueError(f"interpretation {format_interpretation(w)!r} assigned twice")
@@ -246,8 +257,7 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
         raise ValueError("capture formulas need at least one variable")
     ordered = sorted(set(worlds), key=interpretation_index)
     for w in ordered:
-        if len(w) != n:
-            raise ValueError(f"interpretation {w!r} has {len(w)} values, expected {n}")
+        _check_world_size(w, n)
     if not ordered:
         return Bot()
     out: Formula = capture_valuation(ordered[0])

@@ -265,12 +265,12 @@ def test_check_ci_prints_failure_witnesses(monkeypatch, capsys):
 def test_check_charac_prints_the_failure(monkeypatch, capsys):
     # ci's postulates are planted with those of a table that differs in cell (3, 3)
     other = OperatorTable((1, 2, 2, 1, 2, 3, 2, 2, 1))
-    real = operators.postulate_formula
+    real = operators._postulate_flags
 
-    def planted(table, target, f, g):
-        return real(other if table == ci_table() else table, target, f, g)
+    def planted(table, target):
+        return real(other if table == ci_table() else table, target)
 
-    monkeypatch.setattr(operators, "postulate_formula", planted)
+    monkeypatch.setattr(operators, "_postulate_flags", planted)
     code, out, err = run_cli(capsys, "check", "charac", "--op", "ci")
     assert (code, err) == (1, "")
     assert out == "table 122123223: characterization FAIL: target 1 postulate models mismatch for old=113 new=113\n"

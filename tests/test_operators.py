@@ -57,6 +57,17 @@ def test_table_validation():
         OperatorTable((1, 2, 3, 1, 2, 3, 1, 2, 0))
 
 
+@pytest.mark.parametrize("first, ok", [(1.0, False), (True, False), (1, True)], ids=["float", "bool", "int"])
+def test_table_accepts_only_int_cells(first, ok):
+    # a float cell used to pass, serialize as "1.022123223" and fail the check with a bare TypeError
+    cells = (first, 2, 2, 1, 2, 3, 2, 2, 3)
+    if ok:
+        assert OperatorTable(cells) == ci_table()
+    else:
+        with pytest.raises(ValueError, match="^an operator table is 9 cells with values 1, 2 or 3$"):
+            OperatorTable(cells)
+
+
 def test_cell_lookup_is_row_major():
     t = OperatorTable((1, 2, 3, 1, 2, 3, 2, 2, 3))
     assert t.k(1, 1) == 1
@@ -270,11 +281,9 @@ def _plant_transposition(monkeypatch):
     def transposed(table):
         return OperatorTable(tuple(table.k(j, i) for i in range(1, 4) for j in range(1, 4)))
 
-    real_combine, real_postulate = operators._combine, operators.postulate_formula
+    real_combine, real_flags = operators._combine, operators._postulate_flags
     monkeypatch.setattr(operators, "_combine", lambda t, indices: real_combine(transposed(t), indices))
-    monkeypatch.setattr(
-        operators, "postulate_formula", lambda t, target, f, g: real_postulate(transposed(t), target, f, g)
-    )
+    monkeypatch.setattr(operators, "_postulate_flags", lambda t, target: real_flags(transposed(t), target))
 
 
 def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
@@ -351,12 +360,12 @@ def test_sweep_reports_a_planted_defect_behind_warm_memos(monkeypatch):
     other = OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,))
     block = [t for t in block if t != other]
     block.insert(10, other)
-    real = operators.postulate_formula
+    real = operators._postulate_flags
 
-    def planted(table, target, f, g):
-        return real(other if table == bad else table, target, f, g)
+    def planted(table, target):
+        return real(other if table == bad else table, target)
 
-    monkeypatch.setattr(operators, "postulate_formula", planted)
+    monkeypatch.setattr(operators, "_postulate_flags", planted)
     result = sweep_all_tables(1, tables=block)
     assert [serial for serial, _ in result.failures] == [bad.serialize()]
     assert result.total == len(block)
@@ -370,12 +379,12 @@ def test_sweep_reports_a_planted_defect_behind_memos_warmed_by_an_earlier_sweep(
     other = OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,))
     # the first call evaluates the other table's postulates into the pair memos
     assert sweep_all_tables(1, tables=block + [other])
-    real = operators.postulate_formula
+    real = operators._postulate_flags
 
-    def planted(table, target, f, g):
-        return real(other if table == bad else table, target, f, g)
+    def planted(table, target):
+        return real(other if table == bad else table, target)
 
-    monkeypatch.setattr(operators, "postulate_formula", planted)
+    monkeypatch.setattr(operators, "_postulate_flags", planted)
     result = sweep_all_tables(1, tables=block)
     assert [serial for serial, _ in result.failures] == [bad.serialize()]
     assert result.total == len(block)
@@ -431,10 +440,8 @@ def _outcomes(results):
 def _plant_other_postulates(monkeypatch, bad_tables):
     # each bad table gets the postulates of a table that differs in its last cell
     others = {bad: OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,)) for bad in bad_tables}
-    real = operators.postulate_formula
-    monkeypatch.setattr(
-        operators, "postulate_formula", lambda t, target, f, g: real(others.get(t, t), target, f, g)
-    )
+    real = operators._postulate_flags
+    monkeypatch.setattr(operators, "_postulate_flags", lambda t, target: real(others.get(t, t), target))
 
 
 _FEW_TABLES = [ci_table(), drastic_table(), OperatorTable((1, 1, 2, 2, 3, 3, 1, 3, 2))]
@@ -448,6 +455,8 @@ _REFERENCE_CASES = [
     # all 729 pairs; the tables without a planted defect pass them all
     (_FEW_TABLES, "all", "other postulates"),
     (_FEW_TABLES, "all", "transposed"),
+    # the one 9-world covering pair at n=2
+    (_seeded_block(31337, 200), "covering-n2", "other postulates"),
 ]
 
 
@@ -462,24 +471,25 @@ _REFERENCE_CASES = [
 )
 def test_pair_major_check_matches_the_table_major_reference(monkeypatch, tables, pairs, defect, warm):
     defective = defect is not None or pairs == "non-covering"
-    pairs = {
-        "covering": covering_ranking_pairs(1),
-        "non-covering": [(Ranking(1, (1, 2, 2)), Ranking(1, (3, 1, 1)))],
-        "all": None,
+    n, pairs = {
+        "covering": (1, covering_ranking_pairs(1)),
+        "non-covering": (1, [(Ranking(1, (1, 2, 2)), Ranking(1, (3, 1, 1)))]),
+        "all": (1, None),
+        "covering-n2": (2, covering_ranking_pairs(2)),
     }[pairs]
     if warm:
         # every node the clean check meets is evaluated and cached before the defect is planted
-        check_characterizations(tables, 1, pairs)
+        check_characterizations(tables, n, pairs)
     if defect == "other postulates":
         _plant_other_postulates(monkeypatch, tables[1::3])
     elif defect == "transposed":
         _plant_transposition(monkeypatch)
-    expected = _outcomes(reference_check_characterization(t, 1, pairs) for t in tables)
+    expected = _outcomes(reference_check_characterization(t, n, pairs) for t in tables)
     assert any(not ok for _, ok, _, _ in expected) == defective
-    assert _outcomes(check_characterizations(tables, 1, pairs)) == expected
-    assert _outcomes(check_characterization(t, 1, pairs) for t in tables) == expected
-    if pairs == covering_ranking_pairs(1):
-        swept = sweep_all_tables(1, tables=tables)
+    assert _outcomes(check_characterizations(tables, n, pairs)) == expected
+    assert _outcomes(check_characterization(t, n, pairs) for t in tables) == expected
+    if pairs == covering_ranking_pairs(n):
+        swept = sweep_all_tables(n, tables=tables)
         assert swept.total == len(tables)
         assert list(swept.failures) == [(serial, failure) for serial, ok, failure, _ in expected if not ok]
 
@@ -495,6 +505,18 @@ def test_sweep_blocks_agree_with_the_reference(monkeypatch):
     assert len(swept.failures) == len(tables[::97])
 
 
+def test_failures_are_explained_and_passes_are_not(monkeypatch):
+    # a pass is one packed comparison; the per-target explanation runs once per failed table
+    tables = _seeded_block(1618)
+    real, explained = operators._explain, []
+    monkeypatch.setattr(operators, "_explain", lambda table, *args: explained.append(table) or real(table, *args))
+    assert all(check_characterizations(tables, 1, covering_ranking_pairs(1))) and explained == []
+    _plant_other_postulates(monkeypatch, tables[::50])
+    results = check_characterizations(tables, 1, covering_ranking_pairs(1))
+    assert sorted(explained, key=tables.index) == tables[::50]
+    assert [r.table for r in results if not r] == tables[::50]
+
+
 def test_check_characterizations_edge_cases():
     assert check_characterizations([], 1) == []
     results = check_characterizations([ci_table(), ci_table()], 1, pairs=[])
@@ -506,13 +528,14 @@ def test_check_characterizations_edge_cases():
 
 
 def test_sweep_keeps_the_pair_state_bounded_by_its_postulate_nodes():
-    # 19,683 tables on one 9-world pair; the pair caches model sets per postulate node, not per table
+    # 19,683 tables on one 9-world pair; the pair caches model sets by postulate flags, not per table,
+    # and all three targets draw their flags from the same 512 cell subsets
     operators._pair_memo.cache_clear()
     assert sweep_all_tables(2)
     ((old, new),) = covering_ranking_pairs(2)
     _, codes = operators._pair_memo(2, old, new)
     assert operators._pair_memo.cache_info().misses == 1  # the entry the sweep filled
-    assert 512 <= len(codes) <= 3 * 512
+    assert set(codes) == {bytes(flags) for flags in itertools.product((0, 1), repeat=9)}  # so 512 codes
 
 
 def test_postulate_chains_are_the_freshly_built_nodes():

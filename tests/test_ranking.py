@@ -47,6 +47,16 @@ def test_ranking_validation():
         Ranking(-1, ())
 
 
+@pytest.mark.parametrize("first, ok", [(1.0, False), (True, False), (1, True)], ids=["float", "bool", "int"])
+def test_ranking_accepts_only_int_levels(first, ok):
+    # a float or bool equal to a level used to pass and serialize as "1.02True"
+    if ok:
+        assert Ranking(1, (first, 2, 3)).serialize() == "123"
+    else:
+        with pytest.raises(ValueError, match="^levels must be 1, 2 or 3$"):
+            Ranking(1, (first, 2, 3))
+
+
 def test_ranking_level_lookup():
     r = Ranking(1, (3, 2, 1))
     assert r.level((F,)) == 3
@@ -115,6 +125,26 @@ def test_from_level_sets():
 def test_from_level_sets_rejects_double_assignment():
     with pytest.raises(ValueError, match="twice"):
         Ranking.from_level_sets(1, [(T,)], [(T,), (U,)], [(F,)])
+
+
+_N2_WORLDS = interpretations(2)
+
+
+@pytest.mark.parametrize(
+    "n, accepted, size",
+    [
+        # a one-value world used to be read as world 0,1, a three-value one ended in a bare KeyError
+        (2, [(T,)] + [w for w in _N2_WORLDS if w != (F, T)], 1),
+        (2, [(T, U, F)] + [w for w in _N2_WORLDS if w != (T, T)], 3),
+        # an empty world used to be reported as assigned twice
+        (1, [(), (T,)], 0),
+    ],
+    ids=["short", "long", "empty"],
+)
+def test_from_level_sets_rejects_a_world_of_another_size(n, accepted, size):
+    uncertain, rejected = ([(U,)], [(F,)]) if n == 1 else ([], [])
+    with pytest.raises(ValueError, match=rf"has {size} values, expected {n}$"):
+        Ranking.from_level_sets(n, accepted, uncertain, rejected)
 
 
 def test_from_level_sets_rejects_incomplete_cover():

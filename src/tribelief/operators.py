@@ -20,12 +20,11 @@ from .ranking import (
     _are_levels,
     _Record,
     all_rankings,
-    capture_valuation,
     formula_of_ranking,
     level_indicator,
     ranking_of_formula,
 )
-from .semantics import TruthValue, interpretations, value_profile
+from .semantics import TruthValue, value_profile
 from .syntax import And, Bot, Box1, Formula, Not, Or
 
 
@@ -45,7 +44,7 @@ class OperatorTable(_Record):
         self._init(cells)
 
     def k(self, i: int, j: int) -> int:
-        if i not in LEVELS or j not in LEVELS:
+        if not _are_levels((i, j)):
             raise ValueError("table cells are indexed by levels 1..3")
         return self.cells[(i - 1) * 3 + (j - 1)]
 
@@ -116,24 +115,24 @@ _TARGET_FLAGS = {t: bytes.maketrans(bytes(LEVELS), bytes([level == t for level i
 
 
 @lru_cache(maxsize=32)
-def _cell_conjunctions(f: Formula, g: Formula) -> tuple[tuple[Formula, ...], dict[bytes, Formula]]:
-    """The nine cell conjunctions of a pair, row-major, and its Or-chains.
+def _cell_conjunctions(f: Formula, g: Formula) -> tuple[Formula, ...]:
+    """The nine cell conjunctions of a pair, row-major.
 
-    Nodes are hash-consed, so the key is by identity.  ``postulate_formula``
-    fills the dict, which maps nine 0/1 bytes (row-major, 1 for a cell sent to
-    the target) to the Or-chain of the flagged cells.
+    Nodes are hash-consed, so the key is by identity.  The cache spares each
+    postulate of a pair re-interning six level indicators and nine conjunctions.
     """
-    return tuple(And(level_indicator(f, i), level_indicator(g, j)) for i in LEVELS for j in LEVELS), {}
+    rows, columns = ([level_indicator(h, level) for level in LEVELS] for h in (f, g))
+    return tuple(And(row, column) for row in rows for column in columns)
 
 
 def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, g: Formula) -> Formula:
     """Conjunction of level indicators picking out cell (i, j), if the table
     sends that cell to ``target``; ``bot`` otherwise."""
-    if target not in LEVELS:
+    if not _are_levels((target,)):
         raise ValueError("levels must be 1, 2 or 3")
     if target != table.k(i, j):
         return Bot()
-    return _cell_conjunctions(f, g)[0][(i - 1) * 3 + (j - 1)]
+    return _cell_conjunctions(f, g)[(i - 1) * 3 + (j - 1)]
 
 
 def _postulate_flags(table: OperatorTable, target: int) -> bytes:
@@ -146,38 +145,25 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
 
     Its models are exactly the worlds the combined ranking puts at level
     ``target``; if no cell maps there it is a disjunction of ``bot``s.
+    The chain is rebuilt on each call; nodes are hash-consed, so equal flags give one node.
     """
-    if target not in LEVELS:
+    if not _are_levels((target,)):
         raise ValueError("levels must be 1, 2 or 3")
-    conjunctions, chains = _cell_conjunctions(f, g)
     flags = _postulate_flags(table, target)
-    if (out := chains.get(flags)) is None:
-        out = chains[flags] = reduce(Or, [c if hit else Bot() for c, hit in zip(conjunctions, flags)])
-    return out
-
-
-@lru_cache(maxsize=8)
-def _capture_profile_seed(n: int) -> dict:
-    """Profiles of every capture formula at size n; ``_pair_memo`` copies it for each pair."""
-    memo: dict = {}
-    for w in interpretations(n):
-        value_profile(capture_valuation(w), n, memo)
-    return memo
+    return reduce(Or, [c if hit else Bot() for c, hit in zip(_cell_conjunctions(f, g), flags)])
 
 
 @lru_cache(maxsize=32)
 def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> tuple[dict, dict]:
-    """The profile memo of one ranking pair, seeded with the capture profiles,
-    and the pair's model codes of the postulates checked on it.
+    """The profile memo of one ranking pair and its postulate codes, both empty at first.
 
-    ``codes`` maps a postulate's flags (see ``_postulate_flags``) to its
-    models on this pair, with bit 3*w set for each model w; on one pair the
-    postulate is a function of its flags.  The cache keeps the sweep's few
-    covering pairs warm from one call to the next.
+    ``codes`` maps a postulate's flags to its models on the pair, packed (see
+    ``check_characterizations``).  The cache keeps the sweep's few covering
+    pairs warm from one call to the next.
     """
     if r_old.n != n or r_new.n != n:
         raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
-    return dict(_capture_profile_seed(n)), {}
+    return {}, {}
 
 
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:

@@ -14,7 +14,9 @@ from functools import lru_cache
 
 from .semantics import (
     Interpretation,
+    VALUES,
     TruthValue,
+    _world_lines,
     format_interpretation,
     interpretation_index,
     interpretations,
@@ -29,14 +31,10 @@ def level_of_value(v: TruthValue) -> int:
     return 3 - v
 
 
-_VALUE_OF_LEVEL = {3 - v: v for v in TruthValue}
-
-
 def value_of_level(level: int) -> TruthValue:
-    value = _VALUE_OF_LEVEL.get(level)
-    if value is None:
+    if not _are_levels((level,)):
         raise ValueError(f"levels must be 1, 2 or 3, got {level!r}")
-    return value
+    return VALUES[3 - level]
 
 
 def _are_levels(values: tuple) -> bool:
@@ -46,7 +44,7 @@ def _are_levels(values: tuple) -> bool:
 
 def _check_world_size(w: Interpretation, n: int) -> None:
     if len(w) != n:
-        raise ValueError(f"interpretation {w!r} has {len(w)} values, expected {n}")
+        raise ValueError(f"expected an interpretation of {n} variable(s), got {format_interpretation(w)!r}")
 
 
 def _world_count(n: int) -> int:
@@ -121,13 +119,12 @@ class Ranking(_Record):
         self._init(n, levels)
 
     def level(self, w: Interpretation) -> int:
-        if len(w) != self.n:
-            raise ValueError(f"expected an interpretation of {self.n} variable(s), got {len(w)} value(s)")
+        _check_world_size(w, self.n)
         return self.levels[interpretation_index(w)]
 
     def level_set(self, level: int) -> tuple[Interpretation, ...]:
         """The interpretations sitting at ``level``, in canonical order."""
-        if level not in LEVELS:
+        if not _are_levels((level,)):
             raise ValueError("levels must be 1, 2 or 3")
         return tuple(w for w, l in zip(interpretations(self.n), self.levels) if l == level)
 
@@ -165,11 +162,7 @@ class Ranking(_Record):
 
     def to_lines(self) -> list[str]:
         """One line per interpretation in canonical order: ``d0 d1 ... : L``."""
-        lines = []
-        for w, level in zip(interpretations(self.n), self.levels):
-            digits = format_interpretation(w)
-            lines.append(f"{digits} : {level}" if digits else f": {level}")
-        return lines
+        return _world_lines(self.n, self.levels)
 
     @classmethod
     def from_lines(cls, text: str) -> "Ranking":
@@ -223,13 +216,13 @@ def ranking_of_formula(formula: Formula, n: int, memo: dict | None = None) -> Ra
 
 def level_indicator(f: Formula, level: int) -> Formula:
     """A formula true exactly at the worlds where ``f`` sits at ``level``."""
+    if not _are_levels((level,)):
+        raise ValueError("levels must be 1, 2 or 3")
     if level == 1:
         return f
     if level == 2:
         return And(Box1(f), Box1(Not(f)))
-    if level == 3:
-        return Not(f)
-    raise ValueError("levels must be 1, 2 or 3")
+    return Not(f)
 
 
 @lru_cache(maxsize=None)

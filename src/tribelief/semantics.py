@@ -57,34 +57,11 @@ UNARY_TABLES = {
 }
 
 
-def neg(v: TruthValue) -> TruthValue:
-    return UNARY_TABLES[Not][v]
-
-
-def dia1(v: TruthValue) -> TruthValue:
-    return UNARY_TABLES[Dia1][v]
-
-
-def box1(v: TruthValue) -> TruthValue:
-    return UNARY_TABLES[Box1][v]
-
-
-def dia2(v: TruthValue) -> TruthValue:
-    return UNARY_TABLES[Dia2][v]
-
-
-def box2(v: TruthValue) -> TruthValue:
-    return UNARY_TABLES[Box2][v]
-
-
-conj, disj = min, max
-
-
 def implies(a: TruthValue, b: TruthValue) -> TruthValue:
-    return max(neg(a), b)
+    return max(UNARY_TABLES[Not][a], b)
 
 
-BINARY_TABLES = {And: conj, Or: disj, Implies: implies}
+BINARY_TABLES = {And: min, Or: max, Implies: implies}
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +85,16 @@ def interpretation_index(w: Interpretation) -> int:
 
 
 def format_interpretation(w: Interpretation, sep: str = " ") -> str:
-    return sep.join(v.symbol for v in w)
+    return sep.join(_SYMBOLS[v] for v in w)
+
+
+def _world_lines(n: int, labels) -> list[str]:
+    """One line per interpretation in canonical order: ``d0 d1 ... dn-1 : label``."""
+    lines = []
+    for w, label in zip(interpretations(n), labels):
+        digits = format_interpretation(w)
+        lines.append(f"{digits} : {label}" if digits else f": {label}")
+    return lines
 
 
 def parse_interpretation(text: str, n: int) -> Interpretation:
@@ -227,9 +213,4 @@ def is_tautology(formula: Formula, n: int) -> bool:
 
 def truth_table_lines(formula: Formula, n: int) -> list[str]:
     """One line per interpretation in canonical order: ``d0 d1 ... dn-1 : v``."""
-    profile = value_profile(formula, n)
-    lines = []
-    for w, v in zip(interpretations(n), profile):
-        digits = format_interpretation(w)
-        lines.append(f"{digits} : {v.symbol}" if digits else f": {v.symbol}")
-    return lines
+    return _world_lines(n, [v.symbol for v in value_profile(formula, n)])

@@ -43,16 +43,7 @@ from tribelief import (
     value_profile,
     verify_nondefinability,
 )
-from tribelief.semantics import (
-    box1 as v_box1,
-    box2 as v_box2,
-    conj,
-    dia1 as v_dia1,
-    dia2 as v_dia2,
-    disj,
-    implies as v_implies,
-    neg as v_neg,
-)
+from tribelief.semantics import BINARY_TABLES, UNARY_TABLES
 import reference_tables as ref
 
 F, U, T = TruthValue.FALSE, TruthValue.UNDET, TruthValue.TRUE
@@ -91,24 +82,24 @@ class Budget:
 def test_criterion_1_truth_table_fidelity():
     sym = TruthValue.from_symbol
     with Budget(1, "truth tables match the reference rows", 1.0):
-        binary = [(conj, ref.AND_ROWS), (disj, ref.OR_ROWS), (v_implies, ref.IMPLIES_ROWS)]
-        for fn, rows in binary:
+        binary = [(And, ref.AND_ROWS), (Or, ref.OR_ROWS), (Implies, ref.IMPLIES_ROWS)]
+        for node, rows in binary:
             assert len(rows) == 9
             for a, b, expected in rows:
-                assert fn(sym(a), sym(b)) == sym(expected)
+                assert BINARY_TABLES[node](sym(a), sym(b)) == sym(expected)
         unary = [
-            (v_neg, ref.NOT_ROWS),
-            (v_dia1, ref.DIA1_ROWS),
-            (v_box1, ref.BOX1_ROWS),
-            (v_dia2, ref.DIA2_ROWS),
-            (v_box2, ref.BOX2_ROWS),
+            (Not, ref.NOT_ROWS),
+            (Dia1, ref.DIA1_ROWS),
+            (Box1, ref.BOX1_ROWS),
+            (Dia2, ref.DIA2_ROWS),
+            (Box2, ref.BOX2_ROWS),
         ]
-        for fn, rows in unary:
+        for node, rows in unary:
             assert len(rows) == 3
             for a, expected in rows:
-                assert fn(sym(a)) == sym(expected)
+                assert UNARY_TABLES[node][sym(a)] == sym(expected)
         # the corner the maps are easiest to get wrong
-        assert v_dia1(F) == F
+        assert UNARY_TABLES[Dia1][F] == F
 
 
 def test_criterion_2_representation_round_trip():

@@ -23,8 +23,8 @@ from tribelief import (
     value_profile,
     verify_nondefinability,
 )
-from tribelief.semantics import BINARY_TABLES, UNARY_TABLES, VALUES, box1, dia1, implies, neg
-from tribelief.syntax import And, Box1, Box2, Not, Or
+from tribelief.semantics import BINARY_TABLES, UNARY_TABLES, VALUES
+from tribelief.syntax import And, Box1, Box2, Dia1, Implies, Not, Or
 
 def serial(text):
     return Ranking.deserialize(text, 1)
@@ -355,14 +355,12 @@ def test_formula_fragment_stays_inside_box1_closure():
     for _ in range(3):
         grown = set(profiles)
         for p in profiles:
-            grown.add(tuple(neg(v) for v in p))
-            grown.add(tuple(dia1(v) for v in p))
-            grown.add(tuple(box1(v) for v in p))
+            for node in (Not, Dia1, Box1):
+                grown.add(tuple(UNARY_TABLES[node][v] for v in p))
         for a in profiles:
             for b in profiles:
-                grown.add(tuple(map(min, a, b)))
-                grown.add(tuple(map(max, a, b)))
-                grown.add(tuple(implies(x, y) for x, y in zip(a, b)))
+                for node in (And, Or, Implies):
+                    grown.add(tuple(map(BINARY_TABLES[node], a, b)))
         profiles = grown
     reached = {Ranking(1, tuple(3 - int(v) for v in p)) for p in profiles}
     bound = closure(

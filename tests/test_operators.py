@@ -40,6 +40,7 @@ from tribelief import (
     render,
     revise,
     sweep_all_tables,
+    value_of_level,
     value_profile,
 )
 from reference_tables import CI_VALUE_ROWS
@@ -66,6 +67,35 @@ def test_table_accepts_only_int_cells(first, ok):
     else:
         with pytest.raises(ValueError, match="^an operator table is 9 cells with values 1, 2 or 3$"):
             OperatorTable(cells)
+
+
+# each entry point that takes a single level, called with the value under test as that level (both levels for k)
+_SINGLE_LEVEL_SITES = {
+    "value_of_level": (value_of_level, "^levels must be 1, 2 or 3, got "),
+    "Ranking.level_set": (lambda level: Ranking(1, (1, 2, 3)).level_set(level), "^levels must be 1, 2 or 3$"),
+    "level_indicator": (lambda level: level_indicator(Var(0), level), "^levels must be 1, 2 or 3$"),
+    "cell_formula": (
+        lambda level: cell_formula(ci_table(), 1, 1, level, Var(0), Var(0)),
+        "^levels must be 1, 2 or 3$",
+    ),
+    "postulate_formula": (
+        lambda level: postulate_formula(ci_table(), level, Var(0), Var(0)),
+        "^levels must be 1, 2 or 3$",
+    ),
+    "OperatorTable.k": (lambda level: ci_table().k(level, level), "^table cells are indexed by levels 1..3$"),
+}
+
+
+@pytest.mark.parametrize("level, ok", [(1.0, False), (True, False), (1, True)], ids=["float", "bool", "int"])
+@pytest.mark.parametrize("site", list(_SINGLE_LEVEL_SITES))
+def test_single_level_arguments_accept_only_ints(site, level, ok):
+    # a float or bool equal to a level used to be read as that level, and k died with a bare TypeError
+    call, message = _SINGLE_LEVEL_SITES[site]
+    if ok:
+        call(level)
+    else:
+        with pytest.raises(ValueError, match=message):
+            call(level)
 
 
 def test_cell_lookup_is_row_major():
@@ -230,9 +260,7 @@ def test_cell_conjunctions_are_shared_by_equal_inputs():
     old, new = covering_ranking_pairs(1)[1]
     f, g = formula_of_ranking(old), formula_of_ranking(new)
     first = operators._cell_conjunctions(f, g)
-    conjunctions, chains = first
-    assert len(conjunctions) == 9
-    assert isinstance(chains, dict)
+    assert len(first) == 9
     # built again from text, the inputs are the same interned nodes
     assert operators._cell_conjunctions(parse(render(f)), parse(render(g))) is first
 
@@ -351,6 +379,29 @@ def test_sweep_agrees_with_fresh_memo_checks():
     assert swept.total == len(block)
     assert all(fresh)
     assert dict(swept.failures) == {t.serialize(): r.failure for t, r in zip(block, fresh) if not r}
+
+
+def test_cold_and_warm_runs_agree():
+    # a pair's memos start empty, so the first run after clearing the pair caches computes every
+    # profile, code and cell conjunction itself, and the second reads what the first left behind
+    tables = [ci_table(), drastic_table()] + _seeded_block(1919, 20)
+    runs = {
+        "ci postulates": check_ci_postulates,
+        "characterizations": lambda: check_characterizations(tables, 1),
+        "witnesses": lambda: (ci1_prime_equiv_witness(), ci2_prime_equiv_witness()),
+    }
+    cold = {}
+    for name, run in runs.items():
+        operators._pair_memo.cache_clear()
+        operators._cell_conjunctions.cache_clear()
+        cold[name] = run()
+        assert run() == cold[name], name
+    assert cold["ci postulates"].ok and cold["ci postulates"].pairs_checked == 729
+    assert all(r.ok and r.pairs_checked == 729 for r in cold["characterizations"])
+    assert [(old.serialize(), new.serialize(), world) for old, new, world in cold["witnesses"]] == [
+        ("111", "113", 2),
+        ("113", "111", 2),
+    ]
 
 
 def test_sweep_reports_a_planted_defect_behind_warm_memos(monkeypatch):
@@ -541,15 +592,12 @@ def test_sweep_keeps_the_pair_state_bounded_by_its_postulate_nodes():
 def test_postulate_chains_are_the_freshly_built_nodes():
     old, new = covering_ranking_pairs(1)[2]
     f, g = formula_of_ranking(old), formula_of_ranking(new)
-    _, chains = operators._cell_conjunctions(f, g)
     for mask in range(512):
         # target 1 at the cells whose bit is set, 2 elsewhere
         table = OperatorTable(tuple(1 if mask >> (8 - k) & 1 else 2 for k in range(9)))
         cached = postulate_formula(table, 1, f, g)
         assert postulate_formula(table, 1, f, g) is cached
         assert cached is _old_postulate_chain(table, 1, f, g)
-    assert len(chains) == 512
-    assert operators._cell_conjunctions(f, g)[1] is chains
 
 
 def test_ci_is_self_dual():

@@ -64,11 +64,21 @@ def test_ranking_level_lookup():
     assert r.level((T,)) == 1
 
 
-@pytest.mark.parametrize("w", [(T,), (T, U, F), ()], ids=["short", "long", "empty"])
-def test_ranking_level_rejects_an_interpretation_of_another_size(w):
-    # a short world used to read another world's level, a long one a bare IndexError
+def _wrong_size(n, digits):
+    """The message every check of a world's size gives, as a regex."""
+    return rf"^expected an interpretation of {n} variable\(s\), got '{digits}'$"
+
+
+@pytest.mark.parametrize(
+    "w, digits",
+    [((T,), "1"), ((T, U, F), "1 u 0"), ((), ""), ((2, 1, 0), "1 u 0")],
+    ids=["short", "long", "empty", "ints"],
+)
+def test_ranking_level_rejects_an_interpretation_of_another_size(w, digits):
+    # a short world used to read another world's level, a long one a bare IndexError;
+    # a world of plain ints, which lookups accept, gets the same message
     r = Ranking(2, (1, 2, 3) * 3)
-    with pytest.raises(ValueError, match=rf"^expected an interpretation of 2 variable\(s\), got {len(w)} value\(s\)$"):
+    with pytest.raises(ValueError, match=_wrong_size(2, digits)):
         r.level(w)
 
 
@@ -131,19 +141,19 @@ _N2_WORLDS = interpretations(2)
 
 
 @pytest.mark.parametrize(
-    "n, accepted, size",
+    "n, accepted, digits",
     [
         # a one-value world used to be read as world 0,1, a three-value one ended in a bare KeyError
-        (2, [(T,)] + [w for w in _N2_WORLDS if w != (F, T)], 1),
-        (2, [(T, U, F)] + [w for w in _N2_WORLDS if w != (T, T)], 3),
+        (2, [(T,)] + [w for w in _N2_WORLDS if w != (F, T)], "1"),
+        (2, [(T, U, F)] + [w for w in _N2_WORLDS if w != (T, T)], "1 u 0"),
         # an empty world used to be reported as assigned twice
-        (1, [(), (T,)], 0),
+        (1, [(), (T,)], ""),
     ],
     ids=["short", "long", "empty"],
 )
-def test_from_level_sets_rejects_a_world_of_another_size(n, accepted, size):
+def test_from_level_sets_rejects_a_world_of_another_size(n, accepted, digits):
     uncertain, rejected = ([(U,)], [(F,)]) if n == 1 else ([], [])
-    with pytest.raises(ValueError, match=rf"has {size} values, expected {n}$"):
+    with pytest.raises(ValueError, match=_wrong_size(n, digits)):
         Ranking.from_level_sets(n, accepted, uncertain, rejected)
 
 
@@ -219,6 +229,11 @@ def test_capture_set_models_exactly():
     worlds = ((F, T), (U, U))
     models, _, _ = classify(capture_set(worlds, 2), 2)
     assert models == worlds
+
+
+def test_capture_set_rejects_a_world_of_another_size():
+    with pytest.raises(ValueError, match=_wrong_size(2, "1 u 0")):
+        capture_set([(T, U), (T, U, F)], 2)
 
 
 def test_capture_set_empty_is_bot():

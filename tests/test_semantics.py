@@ -30,7 +30,7 @@ from tribelief import (
     truth_table_lines,
     value_profile,
 )
-from tribelief.semantics import box1, box2, conj, dia1, dia2, disj, implies, neg
+from tribelief.semantics import BINARY_TABLES, UNARY_TABLES
 import reference_tables as ref
 from strategies import formulas
 
@@ -43,31 +43,32 @@ def sym(text):
 
 @pytest.mark.parametrize("a,b,expected", ref.AND_ROWS)
 def test_conj_matches_reference(a, b, expected):
-    assert conj(sym(a), sym(b)) == sym(expected)
+    assert BINARY_TABLES[And](sym(a), sym(b)) == sym(expected)
 
 
 @pytest.mark.parametrize("a,b,expected", ref.OR_ROWS)
 def test_disj_matches_reference(a, b, expected):
-    assert disj(sym(a), sym(b)) == sym(expected)
+    assert BINARY_TABLES[Or](sym(a), sym(b)) == sym(expected)
 
 
 @pytest.mark.parametrize("a,b,expected", ref.IMPLIES_ROWS)
 def test_implies_matches_reference(a, b, expected):
-    assert implies(sym(a), sym(b)) == sym(expected)
+    assert BINARY_TABLES[Implies](sym(a), sym(b)) == sym(expected)
 
 
 @pytest.mark.parametrize("a,expected", ref.NOT_ROWS)
 def test_neg_matches_reference(a, expected):
-    assert neg(sym(a)) == sym(expected)
+    assert UNARY_TABLES[Not][sym(a)] == sym(expected)
 
 
 @pytest.mark.parametrize(
-    "fn,rows",
-    [(dia1, ref.DIA1_ROWS), (box1, ref.BOX1_ROWS), (dia2, ref.DIA2_ROWS), (box2, ref.BOX2_ROWS)],
+    "node,rows",
+    [(Dia1, ref.DIA1_ROWS), (Box1, ref.BOX1_ROWS), (Dia2, ref.DIA2_ROWS), (Box2, ref.BOX2_ROWS)],
+    ids=["dia1-rows0", "box1-rows1", "dia2-rows2", "box2-rows3"],
 )
-def test_modal_value_maps_match_reference(fn, rows):
+def test_modal_value_maps_match_reference(node, rows):
     for a, expected in rows:
-        assert fn(sym(a)) == sym(expected)
+        assert UNARY_TABLES[node][sym(a)] == sym(expected)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ levels 1 and 3, and with ``[]2`` alone no classical world sits at level 2.
 import enum
 from collections.abc import Iterable
 
-from .ranking import Ranking, _Record, all_rankings, level_of_value, value_of_level
+from .ranking import Ranking, _Record, all_rankings, level_of_value
 from .semantics import BINARY_TABLES, UNARY_TABLES, TruthValue
 from .syntax import And, Box1, Box2, Not, Or
 
@@ -45,15 +45,14 @@ def apply_op(op: PreorderOp, r: Ranking, r2: Ranking | None = None) -> Ranking:
         if r2 is not None:
             raise ValueError(f"{op.name.lower()} takes a single ranking")
         row = UNARY_TABLES[op.value]
-        return Ranking(r.n, tuple(level_of_value(row[value_of_level(level)]) for level in r.levels))
+        return Ranking(r.n, tuple(level_of_value(row[3 - level]) for level in r.levels))
     if op in BINARY_OPS:
         if r2 is None:
             raise ValueError(f"{op.name.lower()} takes two rankings")
         if r.n != r2.n:
             raise ValueError(f"rankings must agree on the variable count ({r.n} vs {r2.n})")
         fn = BINARY_TABLES[op.value]
-        values = zip(map(value_of_level, r.levels), map(value_of_level, r2.levels))
-        return Ranking(r.n, tuple(level_of_value(fn(a, b)) for a, b in values))
+        return Ranking(r.n, tuple(level_of_value(fn(3 - a, 3 - b)) for a, b in zip(r.levels, r2.levels)))
     raise TypeError(f"not a level operation: {op!r}")
 
 

@@ -24,7 +24,7 @@ from .ranking import (
     level_indicator,
     ranking_of_formula,
 )
-from .semantics import TruthValue, value_profile
+from .semantics import TruthValue, _all_false, _models_within, _same_models, value_profile
 from .syntax import And, Bot, Box1, Formula, Not, Or
 
 
@@ -123,16 +123,6 @@ def _cell_conjunctions(f: Formula, g: Formula) -> tuple[Formula, ...]:
     """
     rows, columns = ([level_indicator(h, level) for level in LEVELS] for h in (f, g))
     return tuple(And(row, column) for row in rows for column in columns)
-
-
-def cell_formula(table: OperatorTable, i: int, j: int, target: int, f: Formula, g: Formula) -> Formula:
-    """Conjunction of level indicators picking out cell (i, j), if the table
-    sends that cell to ``target``; ``bot`` otherwise."""
-    if not _are_levels((target,)):
-        raise ValueError("levels must be 1, 2 or 3")
-    if target != table.k(i, j):
-        return Bot()
-    return _cell_conjunctions(f, g)[(i - 1) * 3 + (j - 1)]
 
 
 def _postulate_flags(table: OperatorTable, target: int) -> bytes:
@@ -352,7 +342,52 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     return SweepResult(n, total, tuple(failures))
 
 
-CI_POSTULATE_NAMES = ("CI1", "CI2", "CI3", "CI4", "CI5", "CI6", "CI7", "CI8", "CI1'", "CI2'")
+class _CiPair:
+    """One ranking pair as the cautious postulates read it: ``phi`` and
+    ``theta`` encode the old and new rankings, and ``star`` is their revision."""
+
+    __slots__ = ("table", "n", "old", "new", "memo", "phi", "theta", "star")
+
+    def __init__(self, table: OperatorTable, n: int, old: Ranking, new: Ranking):
+        self.memo = _pair_memo(n, old, new)[0]
+        self.table, self.n, self.old, self.new = table, n, old, new
+        self.phi, self.theta = formula_of_ranking(old), formula_of_ranking(new)
+        self.star = formula_of_ranking(apply_semantic(table, old, new))
+
+    def profile(self, h: Formula) -> tuple[TruthValue, ...]:
+        return value_profile(h, self.n, self.memo)
+
+    def revise(self, f: Formula, g: Formula) -> Formula:
+        """The revision of ``f`` by ``g``, their rankings read on the pair's profile memo."""
+        old, new = ranking_of_formula(f, self.n, self.memo), ranking_of_formula(g, self.n, self.memo)
+        return formula_of_ranking(apply_semantic(self.table, old, new))
+
+
+# The cautious operator's postulates: name -> (relation, left side, right side).  Each side
+# builds a formula on one _CiPair, and the postulate holds on the pair when the relation
+# holds between the two sides' value profiles.
+_CI_POSTULATES = {
+    "CI1": (
+        _same_models,
+        lambda p: p.star,
+        lambda p: Or(And(p.phi, p.theta), And(level_indicator(p.phi, 2), p.theta)),
+    ),
+    "CI2": (
+        _same_models,
+        lambda p: Not(p.star),
+        lambda p: Or(And(level_indicator(p.phi, 2), Not(p.theta)), And(Not(p.phi), Not(p.theta))),
+    ),
+    "CI3": (operator.eq, lambda p: Not(p.star), lambda p: p.revise(Not(p.phi), Not(p.theta))),
+    # CI4: star is all 0 only if theta is; CI5 is success; CI6 keeps old models at least undetermined
+    "CI4": (lambda left, right: _all_false(left) or not _all_false(right), lambda p: p.theta, lambda p: p.star),
+    "CI5": (_models_within, lambda p: p.star, lambda p: p.theta),
+    "CI6": (_models_within, lambda p: p.phi, lambda p: Box1(p.star)),
+    "CI7": (operator.eq, lambda p: p.revise(p.star, p.theta), lambda p: p.theta),
+    "CI8": (operator.eq, lambda p: p.revise(p.theta, p.theta), lambda p: p.theta),
+    "CI1'": (_same_models, lambda p: p.star, lambda p: And(Box1(p.phi), p.theta)),
+    "CI2'": (_same_models, lambda p: Not(p.star), lambda p: And(Box1(Not(p.phi)), Not(p.theta))),
+}
+CI_POSTULATE_NAMES = tuple(_CI_POSTULATES)
 
 
 class PostulateResult(_Record):
@@ -376,95 +411,54 @@ class CiPostulateReport(_Record):
         return self.ok
 
 
-def _models(profile: tuple[TruthValue, ...]) -> frozenset[int]:
-    return frozenset(i for i, v in enumerate(profile) if v is TruthValue.TRUE)
+def _ci_pairs(n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None) -> Iterator[_CiPair]:
+    """Each of ``pairs`` under ``ci``, or each ranking pair over interpretations(n)."""
+    table = ci_table()
+    for old, new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        yield _CiPair(table, n, old, new)
 
 
 def check_ci_postulates(
     n: int = 1,
     pairs: Iterable[tuple[Ranking, Ranking]] | None = None,
 ) -> CiPostulateReport:
-    """Check the cautious operator's postulates over ranking pairs.
+    """Check each postulate of ``_CI_POSTULATES`` over ranking pairs.
 
-    CI1, CI2, CI1' and CI2' are model-set equalities; CI3, CI7 and CI8 are
-    full truth-table identities; CI4 preserves satisfiability, CI5 is success
-    and CI6 keeps old models at least undetermined.  ``pairs=None`` checks
-    every ranking pair over interpretations(n) exhaustively; a pair over
-    another variable count raises ``ValueError``.
+    A failed postulate's witness is the first pair it fails on.
+    ``pairs=None`` checks every ranking pair over interpretations(n)
+    exhaustively; a pair over another variable count raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("the postulate suite needs at least one variable")
-    table = ci_table()
     failures: dict[str, str] = {}
     checked = 0
-
-    def combine(r_a: Ranking, r_b: Ranking) -> Formula:
-        return formula_of_ranking(apply_semantic(table, r_a, r_b))
-
-    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        memo = _pair_memo(n, r_old, r_new)[0]
+    for pair in _ci_pairs(n, pairs):
         checked += 1
-
-        def prof(h: Formula) -> tuple[TruthValue, ...]:
-            return value_profile(h, n, memo)
-
-        phi = formula_of_ranking(r_old)
-        theta = formula_of_ranking(r_new)
-        star = combine(r_old, r_new)
-        p_theta = prof(theta)
-        p_star = prof(star)
-        p_not_star = prof(Not(star))
-        m_star = _models(p_star)
-        m_not_star = _models(p_not_star)
-        uncertain_phi = level_indicator(phi, 2)
-
-        checks = {
-            "CI1": _models(prof(Or(And(phi, theta), And(uncertain_phi, theta)))) == m_star,
-            "CI2": _models(prof(Or(And(uncertain_phi, Not(theta)), And(Not(phi), Not(theta))))) == m_not_star,
-            "CI3": p_not_star
-            == prof(combine(ranking_of_formula(Not(phi), n, memo), ranking_of_formula(Not(theta), n, memo))),
-            "CI4": all(v is TruthValue.FALSE for v in p_theta)
-            or not all(v is TruthValue.FALSE for v in p_star),
-            "CI5": m_star <= _models(p_theta),
-            "CI6": _models(prof(phi)) <= _models(prof(Box1(star))),
-            "CI7": prof(combine(ranking_of_formula(star, n, memo), ranking_of_formula(theta, n, memo)))
-            == p_theta,
-            "CI8": prof(combine(ranking_of_formula(theta, n, memo), ranking_of_formula(theta, n, memo)))
-            == p_theta,
-            "CI1'": m_star == _models(prof(And(Box1(phi), theta))),
-            "CI2'": m_not_star == _models(prof(And(Box1(Not(phi)), Not(theta)))),
-        }
-        for name, holds in checks.items():
-            if not holds and name not in failures:
-                failures[name] = f"old={r_old.serialize()} new={r_new.serialize()}"
-
+        for name, (relation, left, right) in _CI_POSTULATES.items():
+            if name not in failures and not relation(pair.profile(left(pair)), pair.profile(right(pair))):
+                failures[name] = f"old={pair.old.serialize()} new={pair.new.serialize()}"
     results = tuple(
         PostulateResult(name, name not in failures, failures.get(name)) for name in CI_POSTULATE_NAMES
     )
     return CiPostulateReport(n, checked, results)
 
 
-def _equiv_gap(lhs_of, rhs_of, n: int) -> tuple[Ranking, Ranking, int] | None:
-    table = ci_table()
-    for r_old, r_new in itertools.product(all_rankings(n), repeat=2):
-        memo = _pair_memo(n, r_old, r_new)[0]
-        phi = formula_of_ranking(r_old)
-        theta = formula_of_ranking(r_new)
-        star = formula_of_ranking(apply_semantic(table, r_old, r_new))
-        left = value_profile(lhs_of(star), n, memo)
-        right = value_profile(rhs_of(phi, theta), n, memo)
-        for index, (a, b) in enumerate(zip(left, right)):
+def _equiv_gap(name: str, n: int) -> tuple[Ranking, Ranking, int] | None:
+    """The first pair and world where postulate ``name``'s two sides take different values."""
+    _, left, right = _CI_POSTULATES[name]
+    for pair in _ci_pairs(n):
+        for index, (a, b) in enumerate(zip(pair.profile(left(pair)), pair.profile(right(pair)))):
             if a is not b:
-                return r_old, r_new, index
+                return pair.old, pair.new, index
     return None
 
 
 def ci1_prime_equiv_witness(n: int = 1) -> tuple[Ranking, Ranking, int] | None:
     """A pair and world where ``old * new`` and ``[]1 old & new`` take
     different values; their model sets still agree everywhere (CI1')."""
-    return _equiv_gap(lambda star: star, lambda phi, theta: And(Box1(phi), theta), n)
+    return _equiv_gap("CI1'", n)
 
 
 def ci2_prime_equiv_witness(n: int = 1) -> tuple[Ranking, Ranking, int] | None:
     """Same gap for CI2': ``~(old * new)`` versus ``[]1 ~old & ~new``."""
-    return _equiv_gap(Not, lambda phi, theta: And(Box1(Not(phi)), Not(theta)), n)
+    return _equiv_gap("CI2'", n)

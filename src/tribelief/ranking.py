@@ -16,6 +16,7 @@ from .semantics import (
     Interpretation,
     VALUES,
     TruthValue,
+    _SYMBOLS,
     _world_lines,
     format_interpretation,
     interpretation_index,
@@ -25,6 +26,7 @@ from .semantics import (
 from .syntax import And, Bot, Box1, Dia1, Dia2, Formula, Not, Or, Var
 
 LEVELS = (1, 2, 3)
+_WORLD_VALUES = frozenset((kind, v) for kind in (TruthValue, int) for v in VALUES)
 
 
 def level_of_value(v: TruthValue) -> int:
@@ -42,9 +44,13 @@ def _are_levels(values: tuple) -> bool:
     return all(type(v) is int and v in LEVELS for v in values)
 
 
-def _check_world_size(w: Interpretation, n: int) -> None:
-    if len(w) != n:
-        raise ValueError(f"expected an interpretation of {n} variable(s), got {format_interpretation(w)!r}")
+def _world_index(w: Interpretation, n: int) -> int:
+    """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
+    (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
+    if len(w) != n or not _WORLD_VALUES.issuperset(zip(map(type, w), w)):
+        digits = " ".join(_SYMBOLS[v] if (type(v), v) in _WORLD_VALUES else repr(v) for v in w)
+        raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
+    return interpretation_index(w)
 
 
 def _world_count(n: int) -> int:
@@ -119,8 +125,7 @@ class Ranking(_Record):
         self._init(n, levels)
 
     def level(self, w: Interpretation) -> int:
-        _check_world_size(w, self.n)
-        return self.levels[interpretation_index(w)]
+        return self.levels[_world_index(w, self.n)]
 
     def level_set(self, level: int) -> tuple[Interpretation, ...]:
         """The interpretations sitting at ``level``, in canonical order."""
@@ -151,8 +156,7 @@ class Ranking(_Record):
         levels: dict[int, int] = {}
         for level, worlds in ((1, accepted), (2, uncertain), (3, rejected)):
             for w in worlds:
-                _check_world_size(w, n)
-                index = interpretation_index(w)
+                index = _world_index(w, n)
                 if index in levels:
                     raise ValueError(f"interpretation {format_interpretation(w)!r} assigned twice")
                 levels[index] = level
@@ -248,9 +252,7 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
     """
     if n < 1:
         raise ValueError("capture formulas need at least one variable")
-    ordered = sorted(set(worlds), key=interpretation_index)
-    for w in ordered:
-        _check_world_size(w, n)
+    ordered = sorted(set(worlds), key=lambda w: _world_index(w, n))
     if not ordered:
         return Bot()
     out: Formula = capture_valuation(ordered[0])

@@ -180,6 +180,19 @@ def classify(formula: Formula, n: int) -> tuple[tuple[Interpretation, ...], tupl
     return models, quasi, counter
 
 
+# Relations between value profiles, for the checks below and the postulate suite (same table is ==)
+def _models_within(p: tuple[TruthValue, ...], q: tuple[TruthValue, ...]) -> bool:
+    return all(b is T for a, b in zip(p, q) if a is T)
+
+
+def _same_models(p: tuple[TruthValue, ...], q: tuple[TruthValue, ...]) -> bool:
+    return [a is T for a in p] == [b is T for b in q]
+
+
+def _all_false(p: tuple[TruthValue, ...]) -> bool:
+    return all(v is F for v in p)
+
+
 def equiv(f: Formula, g: Formula, n: int) -> bool:
     """Same truth table over the 3**n interpretations."""
     return value_profile(f, n) == value_profile(g, n)
@@ -187,24 +200,17 @@ def equiv(f: Formula, g: Formula, n: int) -> bool:
 
 def entails(f: Formula, g: Formula, n: int) -> bool:
     """Every model of ``f`` is a model of ``g``."""
-    return all(
-        vg is TruthValue.TRUE
-        for vf, vg in zip(value_profile(f, n), value_profile(g, n))
-        if vf is TruthValue.TRUE
-    )
+    return _models_within(value_profile(f, n), value_profile(g, n))
 
 
 def bi_entails(f: Formula, g: Formula, n: int) -> bool:
     """Same model set; weaker than ``equiv``, which compares full tables."""
-    return all(
-        (vf is TruthValue.TRUE) == (vg is TruthValue.TRUE)
-        for vf, vg in zip(value_profile(f, n), value_profile(g, n))
-    )
+    return _same_models(value_profile(f, n), value_profile(g, n))
 
 
 def is_contradiction(formula: Formula, n: int) -> bool:
     """A formula with countermodels only."""
-    return all(v is TruthValue.FALSE for v in value_profile(formula, n))
+    return _all_false(value_profile(formula, n))
 
 
 def is_tautology(formula: Formula, n: int) -> bool:

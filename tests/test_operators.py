@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -20,7 +21,6 @@ from tribelief import (
     all_rankings,
     all_tables,
     apply_semantic,
-    cell_formula,
     check_characterization,
     check_characterizations,
     check_ci_postulates,
@@ -43,6 +43,7 @@ from tribelief import (
     value_of_level,
     value_profile,
 )
+import reference_ci
 from reference_tables import CI_VALUE_ROWS
 from strategies import rankings
 
@@ -74,10 +75,6 @@ _SINGLE_LEVEL_SITES = {
     "value_of_level": (value_of_level, "^levels must be 1, 2 or 3, got "),
     "Ranking.level_set": (lambda level: Ranking(1, (1, 2, 3)).level_set(level), "^levels must be 1, 2 or 3$"),
     "level_indicator": (lambda level: level_indicator(Var(0), level), "^levels must be 1, 2 or 3$"),
-    "cell_formula": (
-        lambda level: cell_formula(ci_table(), 1, 1, level, Var(0), Var(0)),
-        "^levels must be 1, 2 or 3$",
-    ),
     "postulate_formula": (
         lambda level: postulate_formula(ci_table(), level, Var(0), Var(0)),
         "^levels must be 1, 2 or 3$",
@@ -211,11 +208,14 @@ def test_level_indicator_shapes():
 
 def test_cell_formula_shapes():
     f, g = Var(0), Not(Var(0))
-    t = ci_table()
-    assert cell_formula(t, 1, 3, 2, f, g) == And(level_indicator(f, 1), level_indicator(g, 3))
-    assert cell_formula(t, 1, 3, 1, f, g) == Bot()
+    cells = operators._cell_conjunctions(f, g)
+    assert cells == tuple(And(level_indicator(f, i), level_indicator(g, j)) for i in (1, 2, 3) for j in (1, 2, 3))
+    # a table sending only cell (1, 3) to target 1: that cell's conjunction, bot at the other eight
+    t = OperatorTable((2, 2, 1, 2, 2, 2, 2, 2, 2))
+    cell = And(level_indicator(f, 1), level_indicator(g, 3))
+    assert postulate_formula(t, 1, f, g) == functools.reduce(Or, [Bot(), Bot(), cell] + [Bot()] * 6)
     with pytest.raises(ValueError):
-        cell_formula(t, 1, 3, 0, f, g)
+        postulate_formula(t, 0, f, g)
 
 
 def test_postulate_formula_models_match_combined_levels():
@@ -236,7 +236,6 @@ def _old_postulate_chain(table, target, f, g):
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             cell = And(level_indicator(f, i), level_indicator(g, j)) if table.k(i, j) == target else Bot()
-            assert cell_formula(table, i, j, target, f, g) is cell
             cells.append(cell)
     out = cells[0]
     for cell in cells[1:]:
@@ -634,6 +633,33 @@ def test_ci_postulates_on_explicit_pairs():
 def test_ci_postulates_rejects_n0():
     with pytest.raises(ValueError):
         check_ci_postulates(0)
+
+
+# ci's one-cell neighbours pass some postulates and fail others; a random table fails them all
+_CI = ci_table().cells
+_CI_NEIGHBOURS = [OperatorTable(_CI[:k] + (v,) + _CI[k + 1 :]) for k in range(9) for v in (1, 2, 3) if v != _CI[k]]
+_CI_SUITE_TABLES = [ci_table(), drastic_table()] + random.Random(2020).sample(_CI_NEIGHBOURS, 6) + _seeded_block(2020, 2)
+
+
+@pytest.mark.parametrize("table", _CI_SUITE_TABLES, ids=[t.serialize() for t in _CI_SUITE_TABLES])
+def test_ci_suite_agrees_with_the_inline_reference(table, monkeypatch):
+    # every n=1 pair, with the table planted as the cautious operator: same pairs checked,
+    # same verdicts, same first-failure witnesses, and both equivalence witnesses
+    monkeypatch.setattr(operators, "ci_table", lambda: table)
+    assert check_ci_postulates() == reference_ci.check_ci_postulates(table)
+    assert ci1_prime_equiv_witness() == reference_ci.ci1_prime_equiv_witness(table)
+    assert ci2_prime_equiv_witness() == reference_ci.ci2_prime_equiv_witness(table)
+
+
+def test_ci_suite_agrees_with_the_inline_reference_at_n2():
+    rng = random.Random(2002)
+    pairs = [tuple(Ranking(2, [rng.choice((1, 2, 3)) for _ in range(9)]) for _ in range(2)) for _ in range(200)]
+    report = check_ci_postulates(2, pairs)
+    assert report.ok and report.pairs_checked == 200
+    assert report == reference_ci.check_ci_postulates(ci_table(), 2, pairs)
+    old, new, world = ci1_prime_equiv_witness(2)
+    assert (old.serialize(), new.serialize(), world) == ("111111111", "111111113", 8)
+    assert (old, new, world) == reference_ci.ci1_prime_equiv_witness(ci_table(), 2)
 
 
 @pytest.mark.parametrize("witness", [ci1_prime_equiv_witness, ci2_prime_equiv_witness])

@@ -82,6 +82,40 @@ def test_ranking_level_rejects_an_interpretation_of_another_size(w, digits):
         r.level(w)
 
 
+# each entry point that takes a world, given the world under test as one world of a ranking over n=2
+_WORLD_SITES = {
+    "Ranking.level": lambda w: Ranking(2, (1, 2, 3) * 3).level(w),
+    "capture_set": lambda w: capture_set([(F, T), w], 2),
+    "Ranking.from_level_sets": lambda w: Ranking.from_level_sets(2, [w], [], [v for v in interpretations(2) if v != w]),
+}
+
+
+@pytest.mark.parametrize(
+    "w, digits",
+    [
+        ((0, 5), "0 5"),
+        ((0, -1), "0 -1"),
+        ((5, 0), "5 0"),
+        ((T, None), "1 None"),
+        ((True, 0), "True 0"),
+        ((1.0, 0), "1.0 0"),
+    ],
+    ids=["5-last", "negative", "5-first", "none", "bool", "float"],
+)
+@pytest.mark.parametrize("site", list(_WORLD_SITES))
+def test_world_values_must_be_0_u_or_1(site, w, digits):
+    # level((0, 5)) and level((0, -1)) used to read the level of another world, level((5, 0)) ended
+    # in a bare IndexError, capture_set blamed the levels and from_level_sets ended in a bare KeyError;
+    # a bool or float was read as the value it equals, True as u
+    with pytest.raises(ValueError, match=_wrong_size(2, digits)):
+        _WORLD_SITES[site](w)
+
+
+@pytest.mark.parametrize("site", list(_WORLD_SITES))
+def test_world_values_may_be_the_ints_0_1_and_2(site):
+    assert _WORLD_SITES[site]((2, 1)) == _WORLD_SITES[site]((T, U))
+
+
 def test_level_sets():
     r = Ranking(1, (3, 2, 1))
     assert r.level_set(1) == ((T,),)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tribelief import parse, ranking_of_formula
+from tribelief import CI_POSTULATE_NAMES, parse, ranking_of_formula
 from tribelief.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -62,3 +62,7 @@ def test_readme_library_snippet(capsys):
     assert "# 222" in snippet
     assert serialized == "222"
     assert ranking_of_formula(parse(formula), 1) == namespace["revised"]
+
+
+def test_readme_lists_the_ci_postulates_in_suite_order():
+    assert tuple(re.findall(r"^\| (CI\S*) \|", README, re.MULTILINE)) == CI_POSTULATE_NAMES

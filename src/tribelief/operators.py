@@ -11,7 +11,7 @@ operator ``ci``.
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, reduce
 
 from .ranking import (
@@ -92,17 +92,17 @@ def _cell_indices(r_old: Ranking, r_new: Ranking) -> tuple[int, ...]:
     return tuple([(i - 1) * 3 + (j - 1) for i, j in zip(r_old.levels, r_new.levels)])
 
 
-def _combine(table: OperatorTable, indices: tuple[int, ...]) -> tuple[int, ...]:
-    """Each world's combined level, read from the table at its cell index."""
-    cells = table.cells
-    return tuple([cells[k] for k in indices])
+def _combiner(indices: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """An ``itemgetter`` of each world's combined level from a table's cells; a tuple even for one world."""
+    read = operator.itemgetter(*indices)
+    return read if len(indices) > 1 else lambda cells: (read(cells),)
 
 
 def apply_semantic(table: OperatorTable, r_old: Ranking, r_new: Ranking) -> Ranking:
     """Combine two rankings cell-wise through the table."""
     if r_old.n != r_new.n:
         raise ValueError(f"rankings must agree on the variable count ({r_old.n} vs {r_new.n})")
-    return Ranking(r_old.n, _combine(table, _cell_indices(r_old, r_new)))
+    return Ranking(r_old.n, _combiner(_cell_indices(r_old, r_new))(table.cells))
 
 
 def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
@@ -110,8 +110,8 @@ def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
     return formula_of_ranking(apply_semantic(table, ranking_of_formula(f, n), ranking_of_formula(g, n)))
 
 
-# per target, a bytes.translate table sending a cell's level to 1 if it is the target, else 0
-_TARGET_FLAGS = {t: bytes.maketrans(bytes(LEVELS), bytes([level == t for level in LEVELS])) for t in LEVELS}
+# per target, in level order, a bytes.translate table sending a cell's level to 1 if it is the target, else 0
+_TARGET_FLAGS = tuple(bytes.maketrans(bytes(LEVELS), bytes([level == t for level in LEVELS])) for t in LEVELS)
 
 
 @lru_cache(maxsize=32)
@@ -125,9 +125,11 @@ def _cell_conjunctions(f: Formula, g: Formula) -> tuple[Formula, ...]:
     return tuple(And(row, column) for row in rows for column in columns)
 
 
-def _postulate_flags(table: OperatorTable, target: int) -> bytes:
-    """Nine 0/1 bytes, row-major: 1 for each cell ``table`` sends to ``target``."""
-    return bytes(table.cells).translate(_TARGET_FLAGS[target])
+def _postulate_flags(table: OperatorTable) -> tuple[bytes, bytes, bytes]:
+    """Per target, in level order, nine 0/1 bytes, row-major: 1 for each cell ``table`` sends there."""
+    cells = bytes(table.cells)
+    one, two, three = _TARGET_FLAGS
+    return cells.translate(one), cells.translate(two), cells.translate(three)
 
 
 def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula) -> Formula:
@@ -139,7 +141,7 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     """
     if not _are_levels((target,)):
         raise ValueError("levels must be 1, 2 or 3")
-    flags = _postulate_flags(table, target)
+    flags = _postulate_flags(table)[target - 1]
     return reduce(Or, [c if hit else Bot() for c, hit in zip(_cell_conjunctions(f, g), flags)])
 
 
@@ -234,9 +236,9 @@ def _failures(
     each shifted by its target, equal its packed combined levels, and its
     combined levels read the same as its cells at the pair's indices.
     """
-    flags = [[_postulate_flags(table, target) for target in LEVELS] for table in tables]
     failures: dict[int, tuple[int, str]] = {}
-    live = range(len(tables))  # positions of the tables that have not failed
+    # a row for each table that has not failed; a pass reads it with C-level lookups, no Python call
+    live = [(t, table, table.cells, *_postulate_flags(table)) for t, table in enumerate(tables)]
     covered: set[int] = set()  # cell indices
     checked = 0
     places = [1 << 3 * w for w in range(3**n)]
@@ -246,32 +248,30 @@ def _failures(
         checked += 1
         f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
         indices = _cell_indices(r_old, r_new)
-        read = operator.itemgetter(*indices)
+        combine, read = _combiner(indices), operator.itemgetter(*indices)
         covered.update(indices)
         before = len(failures)
-        for t in live:
-            table = tables[t]
-            combined = _combine(table, indices)
+        for t, table, cells, one, two, three in live:
+            combined = combine(cells)
             if (want := expected.get(combined)) is None:
                 want = expected[combined] = sum(map(operator.lshift, places, combined))
-            one, two, three = flags[t]
             try:
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
             except KeyError:  # a postulate not yet met on this pair
-                for target, key in zip(LEVELS, flags[t]):
+                for target, key in zip(LEVELS, (one, two, three)):
                     if key not in codes:
                         codes[key] = _code(table, target, f, g, n, memo)
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
-            if (packed != want or combined != read(table.cells)) and (
+            if (packed != want or combined != read(cells)) and (
                 reason := _explain(table, combined, indices, f, g, n, memo)
             ):
                 failures[t] = checked, f"{reason} for old={r_old.serialize()} new={r_new.serialize()}"
         if len(failures) != before:
-            live = [t for t in live if t not in failures]
+            live = [row for row in live if row[0] not in failures]
         if not live:
             break
     if len(covered) != 9:
-        for t in live:
+        for t, *_ in live:
             failures[t] = checked, "checked pairs do not cover all nine level cells"
     return failures, checked
 
@@ -286,17 +286,17 @@ def check_characterizations(
     A table that fails sits out the remaining pairs, so each result is the
     one a check of that table alone gives.
 
-    Each table's three postulate flags (the cells it sends to each target)
-    are computed once per call.  What the tables share is per pair
-    (``_pair_memo``): the profile memo, and the models of each postulate
-    checked so far, packed into one int and keyed by its flags.  On one pair
-    a postulate is the Or-chain of its flagged cells, a function of its
-    flags alone, so keying by flags is keying by node, and a pair holds at
-    most 512 codes however many tables it checks.  Within one call, a pair
-    also keeps the packed levels of each combined-levels tuple it meets.  A
-    table is still held to its own combined levels and to the models of the
-    postulates named by its own flags; a table whose postulates are wrong
-    has the flags of those wrong postulates, whose codes are their true
+    Each table's three postulate flags are computed once per call, and each
+    pair reads every table through one cell reader (``_combiner``).  What the
+    tables share is per pair (``_pair_memo``): the profile memo, and the
+    models of each postulate checked so far, packed into one int and keyed by
+    its flags.  On one pair a postulate is the Or-chain of its flagged cells,
+    a function of its flags alone, so keying by flags is keying by node, and a
+    pair holds at most 512 codes however many tables it checks.  Within one
+    call, a pair also keeps the packed levels of each combined-levels tuple it
+    meets.  A table is still held to its own combined levels and to the models
+    of the postulates named by its own flags; a table whose postulates are
+    wrong has the flags of those wrong postulates, whose codes are their true
     models, so it fails as it would cold.
     """
     if n < 1:

@@ -10,7 +10,7 @@ some formula, built here out of capture formulas for its level sets.
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .semantics import (
     Interpretation,
@@ -47,10 +47,13 @@ def _are_levels(values: tuple) -> bool:
 def _world_index(w: Interpretation, n: int) -> int:
     """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
     (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
-    if len(w) != n or not _WORLD_VALUES.issuperset(zip(map(type, w), w)):
-        digits = " ".join(_SYMBOLS[v] if (type(v), v) in _WORLD_VALUES else repr(v) for v in w)
-        raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
-    return interpretation_index(w)
+    try:
+        if len(w) == n and _WORLD_VALUES.issuperset(zip(map(type, w), w)):
+            return interpretation_index(w)
+    except TypeError:  # an unhashable value
+        pass
+    digits = " ".join(_SYMBOLS[v] if type(v) in (TruthValue, int) and v in VALUES else repr(v) for v in w)
+    raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
 
 
 def _world_count(n: int) -> int:
@@ -252,13 +255,10 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
     """
     if n < 1:
         raise ValueError("capture formulas need at least one variable")
-    ordered = sorted(set(worlds), key=lambda w: _world_index(w, n))
-    if not ordered:
+    by_index = {_world_index(w, n): w for w in worlds}  # each world is checked before it is hashed
+    if not by_index:
         return Bot()
-    out: Formula = capture_valuation(ordered[0])
-    for w in ordered[1:]:
-        out = Or(out, capture_valuation(w))
-    return out
+    return reduce(Or, [capture_valuation(by_index[index]) for index in sorted(by_index)])
 
 
 @lru_cache(maxsize=32)

@@ -267,8 +267,8 @@ def test_check_charac_prints_the_failure(monkeypatch, capsys):
     other = OperatorTable((1, 2, 2, 1, 2, 3, 2, 2, 1))
     real = operators._postulate_flags
 
-    def planted(table, target):
-        return real(other if table == ci_table() else table, target)
+    def planted(table):
+        return real(other if table == ci_table() else table)
 
     monkeypatch.setattr(operators, "_postulate_flags", planted)
     code, out, err = run_cli(capsys, "check", "charac", "--op", "ci")

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -126,9 +127,12 @@ def test_parse_rejections(text):
 
 @pytest.mark.parametrize("a,b,expected", CI_VALUE_ROWS)
 def test_ci_combine_values_matches_reference(a, b, expected):
-    # the table read at the truth-value level, through the level <-> value map
+    # the table read at the truth-value level, through the level <-> value map, and applied to the
+    # one-world rankings (n=0) at those levels, where the cell reader has one index
     sym = TruthValue.from_symbol
-    assert ci_table().k(level_of_value(sym(a)), level_of_value(sym(b))) == level_of_value(sym(expected))
+    old, new, out = (level_of_value(sym(v)) for v in (a, b, expected))
+    assert ci_table().k(old, new) == out
+    assert apply_semantic(ci_table(), Ranking(0, (old,)), Ranking(0, (new,))) == Ranking(0, (out,))
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
@@ -141,6 +145,8 @@ def test_all_tables_enumeration():
     assert len(seen) == 3**9
     assert seen[0].serialize() == "111111111"
     assert seen[-1].serialize() == "333333333"
+    for t in seen:
+        assert operators._postulate_flags(t) == tuple(bytes(c == target for c in t.cells) for target in (1, 2, 3))
 
 
 def test_apply_semantic_nine_world_example():
@@ -305,12 +311,16 @@ def test_characterization_rejects_n0():
 
 
 def _plant_transposition(monkeypatch):
-    def transposed(table):
-        return OperatorTable(tuple(table.k(j, i) for i in range(1, 4) for j in range(1, 4)))
+    def transposed(cells):
+        return tuple(cells[(j - 1) * 3 + (i - 1)] for i in range(1, 4) for j in range(1, 4))
 
-    real_combine, real_flags = operators._combine, operators._postulate_flags
-    monkeypatch.setattr(operators, "_combine", lambda t, indices: real_combine(transposed(t), indices))
-    monkeypatch.setattr(operators, "_postulate_flags", lambda t, target: real_flags(transposed(t), target))
+    def combiner(indices):
+        read = real_combiner(indices)
+        return lambda cells: read(transposed(cells))
+
+    real_combiner, real_flags = operators._combiner, operators._postulate_flags
+    monkeypatch.setattr(operators, "_combiner", combiner)
+    monkeypatch.setattr(operators, "_postulate_flags", lambda t: real_flags(OperatorTable(transposed(t.cells))))
 
 
 def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
@@ -412,8 +422,8 @@ def test_sweep_reports_a_planted_defect_behind_warm_memos(monkeypatch):
     block.insert(10, other)
     real = operators._postulate_flags
 
-    def planted(table, target):
-        return real(other if table == bad else table, target)
+    def planted(table):
+        return real(other if table == bad else table)
 
     monkeypatch.setattr(operators, "_postulate_flags", planted)
     result = sweep_all_tables(1, tables=block)
@@ -431,8 +441,8 @@ def test_sweep_reports_a_planted_defect_behind_memos_warmed_by_an_earlier_sweep(
     assert sweep_all_tables(1, tables=block + [other])
     real = operators._postulate_flags
 
-    def planted(table, target):
-        return real(other if table == bad else table, target)
+    def planted(table):
+        return real(other if table == bad else table)
 
     monkeypatch.setattr(operators, "_postulate_flags", planted)
     result = sweep_all_tables(1, tables=block)
@@ -491,7 +501,7 @@ def _plant_other_postulates(monkeypatch, bad_tables):
     # each bad table gets the postulates of a table that differs in its last cell
     others = {bad: OperatorTable(bad.cells[:8] + (bad.cells[8] % 3 + 1,)) for bad in bad_tables}
     real = operators._postulate_flags
-    monkeypatch.setattr(operators, "_postulate_flags", lambda t, target: real(others.get(t, t), target))
+    monkeypatch.setattr(operators, "_postulate_flags", lambda t: real(others.get(t, t)))
 
 
 _FEW_TABLES = [ci_table(), drastic_table(), OperatorTable((1, 1, 2, 2, 3, 3, 1, 3, 2))]
@@ -565,6 +575,30 @@ def test_failures_are_explained_and_passes_are_not(monkeypatch):
     results = check_characterizations(tables, 1, covering_ranking_pairs(1))
     assert sorted(explained, key=tables.index) == tables[::50]
     assert [r.table for r in results if not r] == tables[::50]
+
+
+def test_a_warm_block_makes_no_python_call_per_table_and_pair():
+    # a pass reads each table's row with C-level lookups only; the calls left are one flags call
+    # per table and a few per pair (its cell indices and reader, and hashing its rankings as cache keys)
+    # and per call; the pair caches start from these very rankings, so no key compares through __eq__
+    tables = _seeded_block(6006, operators._SWEEP_BLOCK)
+    pairs = covering_ranking_pairs(1)
+    operators._pair_memo.cache_clear()
+    formula_of_ranking.cache_clear()
+    assert operators._failures(tables, 1, pairs) == ({}, len(pairs))  # warms the pair memos
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = operators._failures(tables, 1, pairs)
+    finally:
+        sys.setprofile(None)
+    assert result == ({}, len(pairs))
+    assert calls <= len(tables) + 10 * len(pairs)
 
 
 def test_check_characterizations_edge_cases():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 
@@ -66,7 +68,7 @@ def test_ranking_level_lookup():
 
 def _wrong_size(n, digits):
     """The message every check of a world's size gives, as a regex."""
-    return rf"^expected an interpretation of {n} variable\(s\), got '{digits}'$"
+    return rf"^expected an interpretation of {n} variable\(s\), got '{re.escape(digits)}'$"
 
 
 @pytest.mark.parametrize(
@@ -99,14 +101,15 @@ _WORLD_SITES = {
         ((T, None), "1 None"),
         ((True, 0), "True 0"),
         ((1.0, 0), "1.0 0"),
+        ((0, [1]), "0 [1]"),
     ],
-    ids=["5-last", "negative", "5-first", "none", "bool", "float"],
+    ids=["5-last", "negative", "5-first", "none", "bool", "float", "unhashable"],
 )
 @pytest.mark.parametrize("site", list(_WORLD_SITES))
 def test_world_values_must_be_0_u_or_1(site, w, digits):
     # level((0, 5)) and level((0, -1)) used to read the level of another world, level((5, 0)) ended
     # in a bare IndexError, capture_set blamed the levels and from_level_sets ended in a bare KeyError;
-    # a bool or float was read as the value it equals, True as u
+    # a bool or float was read as the value it equals, True as u; an unhashable value ended in a bare TypeError
     with pytest.raises(ValueError, match=_wrong_size(2, digits)):
         _WORLD_SITES[site](w)
 

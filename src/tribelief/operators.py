@@ -145,17 +145,48 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     return reduce(Or, [c if hit else Bot() for c, hit in zip(_cell_conjunctions(f, g), flags)])
 
 
-@lru_cache(maxsize=32)
-def _pair_memo(n: int, r_old: Ranking, r_new: Ranking) -> tuple[dict, dict]:
-    """The profile memo of one ranking pair and its postulate codes, both empty at first.
+class _Pair:
+    """One ranking pair as every check reads it: ``phi`` and ``theta`` encode its rankings, ``indices`` give
+    each world's cell, and the profile ``memo`` and the ``codes`` of ``check_characterizations`` start empty."""
 
-    ``codes`` maps a postulate's flags to its models on the pair, packed (see
-    ``check_characterizations``).  The cache keeps the sweep's few covering
-    pairs warm from one call to the next.
-    """
-    if r_old.n != n or r_new.n != n:
-        raise ValueError(f"ranking pairs must be over {n} variable(s), got {r_old.n} and {r_new.n}")
-    return {}, {}
+    __slots__ = ("n", "old", "new", "phi", "theta", "indices", "memo", "codes")
+
+    def __init__(self, n: int, old: Ranking, new: Ranking):
+        if old.n != n or new.n != n:
+            raise ValueError(f"ranking pairs must be over {n} variable(s), got {old.n} and {new.n}")
+        self.n, self.old, self.new = n, old, new
+        self.phi, self.theta = formula_of_ranking(old), formula_of_ranking(new)
+        self.indices = _cell_indices(old, new)
+        self.memo, self.codes = {}, {}
+
+    def profile(self, h: Formula) -> tuple[TruthValue, ...]:
+        return value_profile(h, self.n, self.memo)
+
+    @property
+    def witness(self) -> str:
+        return f"old={self.old.serialize()} new={self.new.serialize()}"
+
+    def star(self, table: OperatorTable) -> Formula:
+        return formula_of_ranking(apply_semantic(table, self.old, self.new))
+
+    def revise(self, table: OperatorTable, f: Formula, g: Formula) -> Formula:
+        """The revision of ``f`` by ``g`` under ``table``, their rankings read on the pair's profile memo."""
+        old, new = ranking_of_formula(f, self.n, self.memo), ranking_of_formula(g, self.n, self.memo)
+        return formula_of_ranking(apply_semantic(table, old, new))
+
+
+# keeps the sweep's few covering pairs warm from one call to the next, and lets the checks share a pair
+_pair_memo = lru_cache(maxsize=32)(_Pair)
+
+
+def _pairs(n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None) -> Iterator[_Pair]:
+    """The context of each of ``pairs``, or of each ranking pair over interpretations(n)."""
+    for pair in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
+        match pair:
+            case (Ranking() as r_old, Ranking() as r_new):
+                yield _pair_memo(n, r_old, r_new)
+            case _:
+                raise ValueError(f"a ranking pair must be two rankings, got {pair!r}")
 
 
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
@@ -199,28 +230,28 @@ def check_characterization(
     must be exactly the level-k worlds of the combined ranking, and reading
     the postulates cell-wise must rebuild the table (each world satisfies the
     postulate formula of exactly one target, the one its cell maps to).  With
-    ``pairs=None`` all ranking pairs over interpretations(n) are checked; a
-    pair over another variable count raises ``ValueError``.
+    ``pairs=None`` all ranking pairs over interpretations(n) are checked; an
+    item that is not two rankings over n variables raises ``ValueError``.
     """
     return check_characterizations([table], n, pairs)[0]
 
 
-def _code(table, target, f, g, n, memo) -> int:
-    """The models of ``table``'s target postulate on the pair of ``memo``, packed."""
-    profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+def _code(table: OperatorTable, target: int, pair: _Pair) -> int:
+    """The models of ``table``'s target postulate on ``pair``, packed."""
+    profile = pair.profile(postulate_formula(table, target, pair.phi, pair.theta))
     return sum(1 << 3 * w for w, v in enumerate(profile) if v is TruthValue.TRUE)
 
 
-def _explain(table, combined, indices, f, g, n, memo) -> str | None:
-    """Why ``table``'s postulates fail on the pair of ``memo``, or ``None`` if they hold."""
+def _explain(table: OperatorTable, combined: tuple[int, ...], pair: _Pair) -> str | None:
+    """Why ``table``'s postulates fail on ``pair``, or ``None`` if they hold."""
     for target in LEVELS:
-        profile = value_profile(postulate_formula(table, target, f, g), n, memo)
+        profile = pair.profile(postulate_formula(table, target, pair.phi, pair.theta))
         if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
             return f"target {target} postulate models mismatch"
     # the model sets match, so each world satisfies the postulate of its combined level
     # alone; the table rebuilt from them must read the same as its cells
     cells = table.cells
-    for k, level in zip(indices, combined):
+    for k, level in zip(pair.indices, combined):
         if level != cells[k]:
             return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
     return None
@@ -242,14 +273,12 @@ def _failures(
     covered: set[int] = set()  # cell indices
     checked = 0
     places = [1 << 3 * w for w in range(3**n)]
-    for r_old, r_new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        memo, codes = _pair_memo(n, r_old, r_new)
+    for pair in _pairs(n, pairs):
+        codes = pair.codes
         expected: dict[tuple[int, ...], int] = {}  # combined levels -> bit 3*w + level for each world w
         checked += 1
-        f, g = formula_of_ranking(r_old), formula_of_ranking(r_new)
-        indices = _cell_indices(r_old, r_new)
-        combine, read = _combiner(indices), operator.itemgetter(*indices)
-        covered.update(indices)
+        combine, read = _combiner(pair.indices), operator.itemgetter(*pair.indices)
+        covered.update(pair.indices)
         before = len(failures)
         for t, table, cells, one, two, three in live:
             combined = combine(cells)
@@ -260,15 +289,13 @@ def _failures(
             except KeyError:  # a postulate not yet met on this pair
                 for target, key in zip(LEVELS, (one, two, three)):
                     if key not in codes:
-                        codes[key] = _code(table, target, f, g, n, memo)
+                        codes[key] = _code(table, target, pair)
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
-            if (packed != want or combined != read(cells)) and (
-                reason := _explain(table, combined, indices, f, g, n, memo)
-            ):
-                failures[t] = checked, f"{reason} for old={r_old.serialize()} new={r_new.serialize()}"
+            if (packed != want or combined != read(cells)) and (reason := _explain(table, combined, pair)):
+                failures[t] = checked, f"{reason} for {pair.witness}"
         if len(failures) != before:
             live = [row for row in live if row[0] not in failures]
-        if not live:
+        if not live:  # every table has failed
             break
     if len(covered) != 9:
         for t, *_ in live:
@@ -288,9 +315,9 @@ def check_characterizations(
 
     Each table's three postulate flags are computed once per call, and each
     pair reads every table through one cell reader (``_combiner``).  What the
-    tables share is per pair (``_pair_memo``): the profile memo, and the
-    models of each postulate checked so far, packed into one int and keyed by
-    its flags.  On one pair a postulate is the Or-chain of its flagged cells,
+    tables share is per pair (the ``_Pair`` from ``_pair_memo``): the profile
+    memo, and the ``codes``, the models of each postulate checked so far,
+    packed into one int and keyed by its flags.  On one pair a postulate is the Or-chain of its flagged cells,
     a function of its flags alone, so keying by flags is keying by node, and a
     pair holds at most 512 codes however many tables it checks.  Within one
     call, a pair also keeps the packed levels of each combined-levels tuple it
@@ -342,50 +369,29 @@ def sweep_all_tables(n: int = 1, tables: Iterable[OperatorTable] | None = None) 
     return SweepResult(n, total, tuple(failures))
 
 
-class _CiPair:
-    """One ranking pair as the cautious postulates read it: ``phi`` and
-    ``theta`` encode the old and new rankings, and ``star`` is their revision."""
-
-    __slots__ = ("table", "n", "old", "new", "memo", "phi", "theta", "star")
-
-    def __init__(self, table: OperatorTable, n: int, old: Ranking, new: Ranking):
-        self.memo = _pair_memo(n, old, new)[0]
-        self.table, self.n, self.old, self.new = table, n, old, new
-        self.phi, self.theta = formula_of_ranking(old), formula_of_ranking(new)
-        self.star = formula_of_ranking(apply_semantic(table, old, new))
-
-    def profile(self, h: Formula) -> tuple[TruthValue, ...]:
-        return value_profile(h, self.n, self.memo)
-
-    def revise(self, f: Formula, g: Formula) -> Formula:
-        """The revision of ``f`` by ``g``, their rankings read on the pair's profile memo."""
-        old, new = ranking_of_formula(f, self.n, self.memo), ranking_of_formula(g, self.n, self.memo)
-        return formula_of_ranking(apply_semantic(self.table, old, new))
-
-
-# The cautious operator's postulates: name -> (relation, left side, right side).  Each side
-# builds a formula on one _CiPair, and the postulate holds on the pair when the relation
-# holds between the two sides' value profiles.
+# The cautious operator's postulates: name -> (relation, left side, right side).  Each side builds
+# a formula from a _Pair p, a table t and s = p.star(t), built once per pair and table, and the
+# postulate holds on the pair when the relation holds between the two sides' value profiles.
 _CI_POSTULATES = {
     "CI1": (
         _same_models,
-        lambda p: p.star,
-        lambda p: Or(And(p.phi, p.theta), And(level_indicator(p.phi, 2), p.theta)),
+        lambda p, s, t: s,
+        lambda p, s, t: Or(And(p.phi, p.theta), And(level_indicator(p.phi, 2), p.theta)),
     ),
     "CI2": (
         _same_models,
-        lambda p: Not(p.star),
-        lambda p: Or(And(level_indicator(p.phi, 2), Not(p.theta)), And(Not(p.phi), Not(p.theta))),
+        lambda p, s, t: Not(s),
+        lambda p, s, t: Or(And(level_indicator(p.phi, 2), Not(p.theta)), And(Not(p.phi), Not(p.theta))),
     ),
-    "CI3": (operator.eq, lambda p: Not(p.star), lambda p: p.revise(Not(p.phi), Not(p.theta))),
+    "CI3": (operator.eq, lambda p, s, t: Not(s), lambda p, s, t: p.revise(t, Not(p.phi), Not(p.theta))),
     # CI4: star is all 0 only if theta is; CI5 is success; CI6 keeps old models at least undetermined
-    "CI4": (lambda left, right: _all_false(left) or not _all_false(right), lambda p: p.theta, lambda p: p.star),
-    "CI5": (_models_within, lambda p: p.star, lambda p: p.theta),
-    "CI6": (_models_within, lambda p: p.phi, lambda p: Box1(p.star)),
-    "CI7": (operator.eq, lambda p: p.revise(p.star, p.theta), lambda p: p.theta),
-    "CI8": (operator.eq, lambda p: p.revise(p.theta, p.theta), lambda p: p.theta),
-    "CI1'": (_same_models, lambda p: p.star, lambda p: And(Box1(p.phi), p.theta)),
-    "CI2'": (_same_models, lambda p: Not(p.star), lambda p: And(Box1(Not(p.phi)), Not(p.theta))),
+    "CI4": (lambda left, right: _all_false(left) or not _all_false(right), lambda p, s, t: p.theta, lambda p, s, t: s),
+    "CI5": (_models_within, lambda p, s, t: s, lambda p, s, t: p.theta),
+    "CI6": (_models_within, lambda p, s, t: p.phi, lambda p, s, t: Box1(s)),
+    "CI7": (operator.eq, lambda p, s, t: p.revise(t, s, p.theta), lambda p, s, t: p.theta),
+    "CI8": (operator.eq, lambda p, s, t: p.revise(t, p.theta, p.theta), lambda p, s, t: p.theta),
+    "CI1'": (_same_models, lambda p, s, t: s, lambda p, s, t: And(Box1(p.phi), p.theta)),
+    "CI2'": (_same_models, lambda p, s, t: Not(s), lambda p, s, t: And(Box1(Not(p.phi)), Not(p.theta))),
 }
 CI_POSTULATE_NAMES = tuple(_CI_POSTULATES)
 
@@ -411,13 +417,6 @@ class CiPostulateReport(_Record):
         return self.ok
 
 
-def _ci_pairs(n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None) -> Iterator[_CiPair]:
-    """Each of ``pairs`` under ``ci``, or each ranking pair over interpretations(n)."""
-    table = ci_table()
-    for old, new in itertools.product(all_rankings(n), repeat=2) if pairs is None else pairs:
-        yield _CiPair(table, n, old, new)
-
-
 def check_ci_postulates(
     n: int = 1,
     pairs: Iterable[tuple[Ranking, Ranking]] | None = None,
@@ -425,18 +424,20 @@ def check_ci_postulates(
     """Check each postulate of ``_CI_POSTULATES`` over ranking pairs.
 
     A failed postulate's witness is the first pair it fails on.
-    ``pairs=None`` checks every ranking pair over interpretations(n)
-    exhaustively; a pair over another variable count raises ``ValueError``.
+    ``pairs=None`` checks every ranking pair over interpretations(n) exhaustively;
+    an item that is not two rankings over n variables raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("the postulate suite needs at least one variable")
+    table = ci_table()
     failures: dict[str, str] = {}
     checked = 0
-    for pair in _ci_pairs(n, pairs):
+    for pair in _pairs(n, pairs):  # every pair is counted, even once every postulate has failed
         checked += 1
+        sides = pair, pair.star(table), table
         for name, (relation, left, right) in _CI_POSTULATES.items():
-            if name not in failures and not relation(pair.profile(left(pair)), pair.profile(right(pair))):
-                failures[name] = f"old={pair.old.serialize()} new={pair.new.serialize()}"
+            if name not in failures and not relation(pair.profile(left(*sides)), pair.profile(right(*sides))):
+                failures[name] = pair.witness
     results = tuple(
         PostulateResult(name, name not in failures, failures.get(name)) for name in CI_POSTULATE_NAMES
     )
@@ -444,10 +445,12 @@ def check_ci_postulates(
 
 
 def _equiv_gap(name: str, n: int) -> tuple[Ranking, Ranking, int] | None:
-    """The first pair and world where postulate ``name``'s two sides take different values."""
+    """The first pair and world where postulate ``name``'s two sides take different values under ``ci``."""
     _, left, right = _CI_POSTULATES[name]
-    for pair in _ci_pairs(n):
-        for index, (a, b) in enumerate(zip(pair.profile(left(pair)), pair.profile(right(pair)))):
+    table = ci_table()
+    for pair in _pairs(n):
+        sides = pair, pair.star(table), table
+        for index, (a, b) in enumerate(zip(pair.profile(left(*sides)), pair.profile(right(*sides)))):
             if a is not b:
                 return pair.old, pair.new, index
     return None

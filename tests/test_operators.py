@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -363,6 +364,19 @@ def test_checks_reject_pairs_over_another_variable_count(n, pairs):
         check_ci_postulates(n, pairs=pairs)
 
 
+_R = Ranking(1, (1, 2, 3))
+
+
+@pytest.mark.parametrize("item", [("111", "222"), (_R, _R, _R), _R], ids=["strings", "triple", "ranking"])
+def test_checks_reject_a_pair_that_is_not_two_rankings(item):
+    # these used to end in an AttributeError, a ValueError from unpacking and a TypeError
+    message = f"^a ranking pair must be two rankings, got {re.escape(repr(item))}$"
+    with pytest.raises(ValueError, match=message):
+        check_characterization(ci_table(), 1, pairs=[item])
+    with pytest.raises(ValueError, match=message):
+        check_ci_postulates(1, pairs=[(_R, _R), item])
+
+
 def test_sweep_sample_of_tables():
     rng = random.Random(7)
     sample = [OperatorTable(tuple(rng.randint(1, 3) for _ in range(9))) for _ in range(100)]
@@ -392,12 +406,18 @@ def test_sweep_agrees_with_fresh_memo_checks():
 
 def test_cold_and_warm_runs_agree():
     # a pair's memos start empty, so the first run after clearing the pair caches computes every
-    # profile, code and cell conjunction itself, and the second reads what the first left behind
+    # profile, code and cell conjunction itself; the second reads what the first left behind only
+    # where the 32-entry pair caches still hold it, so over all 729 pairs it starts cold again
     tables = [ci_table(), drastic_table()] + _seeded_block(1919, 20)
+    rng, rankings_1 = random.Random(1920), list(all_rankings(1))
+    # few enough pairs for the pair cache to hold them all, so the two checks share each context
+    pairs = list(covering_ranking_pairs(1)) + [(rng.choice(rankings_1), rng.choice(rankings_1)) for _ in range(29)]
     runs = {
         "ci postulates": check_ci_postulates,
         "characterizations": lambda: check_characterizations(tables, 1),
         "witnesses": lambda: (ci1_prime_equiv_witness(), ci2_prime_equiv_witness()),
+        "ci postulates, given pairs": lambda: check_ci_postulates(1, pairs),
+        "characterizations, given pairs": lambda: check_characterizations(tables, 1, pairs),
     }
     cold = {}
     for name, run in runs.items():
@@ -405,6 +425,13 @@ def test_cold_and_warm_runs_agree():
         operators._cell_conjunctions.cache_clear()
         cold[name] = run()
         assert run() == cold[name], name
+    shared = ["characterizations, given pairs", "ci postulates, given pairs"]
+    for order in (shared, shared[::-1]):
+        operators._pair_memo.cache_clear()
+        operators._cell_conjunctions.cache_clear()
+        for name in order:
+            assert runs[name]() == cold[name], name
+        assert operators._pair_memo.cache_info().misses == len(set(pairs))  # the second check built no context
     assert cold["ci postulates"].ok and cold["ci postulates"].pairs_checked == 729
     assert all(r.ok and r.pairs_checked == 729 for r in cold["characterizations"])
     assert [(old.serialize(), new.serialize(), world) for old, new, world in cold["witnesses"]] == [
@@ -579,8 +606,8 @@ def test_failures_are_explained_and_passes_are_not(monkeypatch):
 
 def test_a_warm_block_makes_no_python_call_per_table_and_pair():
     # a pass reads each table's row with C-level lookups only; the calls left are one flags call
-    # per table and a few per pair (its cell indices and reader, and hashing its rankings as cache keys)
-    # and per call; the pair caches start from these very rankings, so no key compares through __eq__
+    # per table and a few per pair (its reader, and hashing its rankings as the pair cache's key)
+    # and per call; equal copies of the pairs also compare with the cached keys through __eq__
     tables = _seeded_block(6006, operators._SWEEP_BLOCK)
     pairs = covering_ranking_pairs(1)
     operators._pair_memo.cache_clear()
@@ -592,13 +619,15 @@ def test_a_warm_block_makes_no_python_call_per_table_and_pair():
         nonlocal calls
         calls += event == "call"
 
-    sys.setprofile(count)
-    try:
-        result = operators._failures(tables, 1, pairs)
-    finally:
-        sys.setprofile(None)
-    assert result == ({}, len(pairs))
-    assert calls <= len(tables) + 10 * len(pairs)
+    for counted in (pairs, covering_ranking_pairs(1)):
+        calls = 0
+        sys.setprofile(count)
+        try:
+            result = operators._failures(tables, 1, counted)
+        finally:
+            sys.setprofile(None)
+        assert result == ({}, len(pairs))
+        assert calls <= len(tables) + 8 * len(pairs)
 
 
 def test_check_characterizations_edge_cases():
@@ -617,7 +646,7 @@ def test_sweep_keeps_the_pair_state_bounded_by_its_postulate_nodes():
     operators._pair_memo.cache_clear()
     assert sweep_all_tables(2)
     ((old, new),) = covering_ranking_pairs(2)
-    _, codes = operators._pair_memo(2, old, new)
+    codes = operators._pair_memo(2, old, new).codes
     assert operators._pair_memo.cache_info().misses == 1  # the entry the sweep filled
     assert set(codes) == {bytes(flags) for flags in itertools.product((0, 1), repeat=9)}  # so 512 codes
 

@@ -91,9 +91,16 @@ MUTANTS = {
     # only a planted cell reader can tell: the combined levels come from the same cells
     "rebuild-read-dropped": (
         "operators.py",
-        "            if (packed != want or combined != read(cells)) and (\n",
-        "            if packed != want and (\n",
+        "            if (packed != want or combined != read(cells)) and (reason := ",
+        "            if packed != want and (reason := ",
         "tests/test_operators.py",
+    ),
+    # every failure names the new ranking as the old one and the old as the new
+    "witness-old-and-new-swapped": (
+        "operators.py",
+        'return f"old={self.old.serialize()} new={self.new.serialize()}"',
+        'return f"old={self.new.serialize()} new={self.old.serialize()}"',
+        "tests/test_cli.py",
     ),
 }
 

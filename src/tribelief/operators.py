@@ -24,7 +24,7 @@ from .ranking import (
     level_indicator,
     ranking_of_formula,
 )
-from .semantics import TruthValue, _all_false, _models_within, _same_models, value_profile
+from .semantics import TruthValue, _all_false, _models_within, _same_models, _variable_count, value_profile
 from .syntax import And, Bot, Box1, Formula, Not, Or
 
 
@@ -191,9 +191,7 @@ def _pairs(n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None = None) -> It
 
 def covering_ranking_pairs(n: int) -> tuple[tuple[Ranking, Ranking], ...]:
     """A small set of ranking pairs whose worlds hit all nine level cells."""
-    if n < 1:
-        raise ValueError("characterization needs at least one variable")
-    count = 3**n
+    count = 3 ** _variable_count(n, 1, "characterization needs at least one variable")
     if count >= 9:
         a = Ranking(n, tuple((i // 3) % 3 + 1 for i in range(count)))
         b = Ranking(n, tuple(i % 3 + 1 for i in range(count)))
@@ -242,11 +240,11 @@ def _code(table: OperatorTable, target: int, pair: _Pair) -> int:
     return sum(1 << 3 * w for w, v in enumerate(profile) if v is TruthValue.TRUE)
 
 
-def _explain(table: OperatorTable, combined: tuple[int, ...], pair: _Pair) -> str | None:
-    """Why ``table``'s postulates fail on ``pair``, or ``None`` if they hold."""
-    for target in LEVELS:
-        profile = pair.profile(postulate_formula(table, target, pair.phi, pair.theta))
-        if [v is TruthValue.TRUE for v in profile] != [level == target for level in combined]:
+def _explain(table: OperatorTable, combined: tuple[int, ...], pair: _Pair, flags: tuple[bytes, ...]) -> str:
+    """Why ``table``, whose postulates have ``flags``, fails on ``pair``, read off the codes ``_failures`` filled;
+    the target shifts keep the three codes apart, so a packed mismatch is a mismatch of one code."""
+    for target, key in zip(LEVELS, flags):
+        if pair.codes[key] != sum(1 << 3 * w for w, level in enumerate(combined) if level == target):
             return f"target {target} postulate models mismatch"
     # the model sets match, so each world satisfies the postulate of its combined level
     # alone; the table rebuilt from them must read the same as its cells
@@ -254,7 +252,6 @@ def _explain(table: OperatorTable, combined: tuple[int, ...], pair: _Pair) -> st
     for k, level in zip(pair.indices, combined):
         if level != cells[k]:
             return f"cell {(k // 3 + 1, k % 3 + 1)} rebuilt as {[level]} instead of {cells[k]}"
-    return None
 
 
 def _failures(
@@ -291,8 +288,8 @@ def _failures(
                     if key not in codes:
                         codes[key] = _code(table, target, pair)
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
-            if (packed != want or combined != read(cells)) and (reason := _explain(table, combined, pair)):
-                failures[t] = checked, f"{reason} for {pair.witness}"
+            if packed != want or combined != read(cells):
+                failures[t] = checked, f"{_explain(table, combined, pair, (one, two, three))} for {pair.witness}"
         if len(failures) != before:
             live = [row for row in live if row[0] not in failures]
         if not live:  # every table has failed
@@ -326,8 +323,7 @@ def check_characterizations(
     wrong has the flags of those wrong postulates, whose codes are their true
     models, so it fails as it would cold.
     """
-    if n < 1:
-        raise ValueError("characterization needs at least one variable")
+    _variable_count(n, 1, "characterization needs at least one variable")
     tables = list(tables)
     failures, checked = _failures(tables, n, pairs)
     return [
@@ -427,8 +423,7 @@ def check_ci_postulates(
     ``pairs=None`` checks every ranking pair over interpretations(n) exhaustively;
     an item that is not two rankings over n variables raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("the postulate suite needs at least one variable")
+    _variable_count(n, 1, "the postulate suite needs at least one variable")
     table = ci_table()
     failures: dict[str, str] = {}
     checked = 0

@@ -10,13 +10,15 @@ some formula, built here out of capture formulas for its level sets.
 import itertools
 import operator
 from collections.abc import Iterable, Iterator
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .semantics import (
     Interpretation,
     VALUES,
     TruthValue,
-    _SYMBOLS,
+    _all_in,
+    _variable_count,
+    _world_index,
     _world_lines,
     format_interpretation,
     interpretation_index,
@@ -26,7 +28,8 @@ from .semantics import (
 from .syntax import And, Bot, Box1, Dia1, Dia2, Formula, Not, Or, Var
 
 LEVELS = (1, 2, 3)
-_WORLD_VALUES = frozenset((kind, v) for kind in (TruthValue, int) for v in VALUES)
+# whether every value is the int 1, 2 or 3; a float or bool equal to one is not
+_are_levels = partial(_all_in, allowed=frozenset((int, level) for level in LEVELS))
 
 
 def level_of_value(v: TruthValue) -> int:
@@ -37,30 +40,6 @@ def value_of_level(level: int) -> TruthValue:
     if not _are_levels((level,)):
         raise ValueError(f"levels must be 1, 2 or 3, got {level!r}")
     return VALUES[3 - level]
-
-
-def _are_levels(values: tuple) -> bool:
-    """Whether every value is the int 1, 2 or 3; a float or bool equal to one is not."""
-    return all(type(v) is int and v in LEVELS for v in values)
-
-
-def _world_index(w: Interpretation, n: int) -> int:
-    """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
-    (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
-    try:
-        if len(w) == n and _WORLD_VALUES.issuperset(zip(map(type, w), w)):
-            return interpretation_index(w)
-    except TypeError:  # an unhashable value
-        pass
-    digits = " ".join(_SYMBOLS[v] if type(v) in (TruthValue, int) and v in VALUES else repr(v) for v in w)
-    raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
-
-
-def _world_count(n: int) -> int:
-    """3**n, the number of interpretations of ``n`` variables."""
-    if n < 0:
-        raise ValueError("variable count must be non-negative")
-    return 3**n
 
 
 class _Record:
@@ -119,7 +98,7 @@ class Ranking(_Record):
     __slots__ = _fields = ("n", "levels")
 
     def __init__(self, n: int, levels: Iterable[int]):
-        count = _world_count(n)
+        count = 3 ** _variable_count(n)
         levels = tuple(levels)
         if len(levels) != count:
             raise ValueError(f"expected {count} levels for n={n}, got {len(levels)}")
@@ -141,7 +120,7 @@ class Ranking(_Record):
 
     @classmethod
     def deserialize(cls, text: str, n: int) -> "Ranking":
-        count = _world_count(n)
+        count = 3 ** _variable_count(n)
         if len(text) != count or any(c not in "123" for c in text):
             raise ValueError(f"expected {count} characters from {{1,2,3}}, got {text!r}")
         return cls(n, tuple(int(c) for c in text))
@@ -155,7 +134,7 @@ class Ranking(_Record):
         rejected: Iterable[Interpretation],
     ) -> "Ranking":
         """Build from the three level sets, which must partition interpretations(n)."""
-        count = _world_count(n)
+        count = 3 ** _variable_count(n)
         levels: dict[int, int] = {}
         for level, worlds in ((1, accepted), (2, uncertain), (3, rejected)):
             for w in worlds:
@@ -212,7 +191,7 @@ class Ranking(_Record):
 
 def all_rankings(n: int) -> Iterator[Ranking]:
     """Every ranking over interpretations(n), in serialization order."""
-    return (Ranking(n, levels) for levels in itertools.product(LEVELS, repeat=_world_count(n)))
+    return (Ranking(n, levels) for levels in itertools.product(LEVELS, repeat=3 ** _variable_count(n)))
 
 
 def ranking_of_formula(formula: Formula, n: int, memo: dict | None = None) -> Ranking:
@@ -241,11 +220,7 @@ def capture_valuation(w: Interpretation) -> Formula:
     """
     if not w:
         raise ValueError("capture formulas need at least one variable")
-    conjuncts = [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)]
-    out = conjuncts[0]
-    for part in conjuncts[1:]:
-        out = And(out, part)
-    return out
+    return reduce(And, [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)])
 
 
 def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
@@ -253,8 +228,7 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
 
     Disjuncts are ordered canonically, so equal sets give identical formulas.
     """
-    if n < 1:
-        raise ValueError("capture formulas need at least one variable")
+    _variable_count(n, 1, "capture formulas need at least one variable")
     by_index = {_world_index(w, n): w for w in worlds}  # each world is checked before it is hashed
     if not by_index:
         return Bot()

@@ -13,6 +13,7 @@ Each box is the dual ``~ <>i ~`` of its diamond.
 
 import enum
 import itertools
+from collections.abc import Sized
 from functools import lru_cache
 
 from .syntax import And, Bot, Box1, Box2, Dia1, Dia2, Formula, Implies, Not, Or, Var
@@ -64,16 +65,35 @@ def implies(a: TruthValue, b: TruthValue) -> TruthValue:
 BINARY_TABLES = {And: min, Or: max, Implies: implies}
 
 
-@lru_cache(maxsize=None)
+# each value a world may hold, as (type, value): 0, u and 1 as TruthValues or as the ints 0, 1 and 2
+_WORLD_VALUES = frozenset((kind, v) for kind in (TruthValue, int) for v in VALUES)
+
+
+def _all_in(values, allowed: frozenset) -> bool:
+    """Whether each value's ``(type, value)`` is in ``allowed``: a bool, float or unhashable value is not."""
+    try:
+        return allowed.issuperset(zip(map(type, values), values))
+    except TypeError:  # an unhashable value
+        return False
+
+
+def _variable_count(n: int, least: int = 0, message: str = "variable count must be non-negative") -> int:
+    """``n``, which must be an int (not a bool or float) of at least ``least``; ``message`` refuses a smaller one."""
+    if type(n) is not int:
+        raise ValueError(f"variable count must be an int, got {n!r}")
+    if n < least:
+        raise ValueError(message)
+    return n
+
+
+@lru_cache(maxsize=None, typed=True)  # typed, so True or 1.0 cannot read the entry of 1
 def interpretations(n: int) -> tuple[Interpretation, ...]:
     """All 3**n interpretations of x0..x(n-1), in canonical order.
 
     Canonical order counts in base three with digit order 0 < u < 1 and
     position 0 most significant.
     """
-    if n < 0:
-        raise ValueError("variable count must be non-negative")
-    return tuple(itertools.product(VALUES, repeat=n))
+    return tuple(itertools.product(VALUES, repeat=_variable_count(n)))
 
 
 def interpretation_index(w: Interpretation) -> int:
@@ -82,6 +102,15 @@ def interpretation_index(w: Interpretation) -> int:
     for v in w:
         index = index * 3 + int(v)
     return index
+
+
+def _world_index(w: Interpretation, n: int) -> int:
+    """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
+    (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
+    if isinstance(w, Sized) and len(w) == n and _all_in(w, _WORLD_VALUES):  # a generator has no len()
+        return interpretation_index(w)
+    digits = " ".join(_SYMBOLS[v] if _all_in((v,), _WORLD_VALUES) else repr(v) for v in w)
+    raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
 
 
 def format_interpretation(w: Interpretation, sep: str = " ") -> str:
@@ -155,7 +184,8 @@ def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> t
 
 
 def eval_formula(formula: Formula, w: Interpretation) -> TruthValue:
-    """Value of ``formula`` under the interpretation ``w``."""
+    """Value of ``formula`` under the interpretation ``w``, whose values must be 0, u or 1."""
+    _world_index(w, len(w))
     return _profile(formula, (w,), {})[0]
 
 

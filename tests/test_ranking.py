@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from tribelief import (
+    And,
     Bot,
     Box1,
     Not,
@@ -14,6 +15,7 @@ from tribelief import (
     capture_set,
     capture_valuation,
     classify,
+    eval_formula,
     formula_of_ranking,
     interpretations,
     level_of_value,
@@ -85,7 +87,9 @@ def test_ranking_level_rejects_an_interpretation_of_another_size(w, digits):
 
 
 # each entry point that takes a world, given the world under test as one world of a ranking over n=2
+# (eval_formula takes its variable count from the world)
 _WORLD_SITES = {
+    "eval_formula": lambda w: eval_formula(And(Var(0), Not(Var(1))), w),
     "Ranking.level": lambda w: Ranking(2, (1, 2, 3) * 3).level(w),
     "capture_set": lambda w: capture_set([(F, T), w], 2),
     "Ranking.from_level_sets": lambda w: Ranking.from_level_sets(2, [w], [], [v for v in interpretations(2) if v != w]),
@@ -109,7 +113,8 @@ _WORLD_SITES = {
 def test_world_values_must_be_0_u_or_1(site, w, digits):
     # level((0, 5)) and level((0, -1)) used to read the level of another world, level((5, 0)) ended
     # in a bare IndexError, capture_set blamed the levels and from_level_sets ended in a bare KeyError;
-    # a bool or float was read as the value it equals, True as u; an unhashable value ended in a bare TypeError
+    # a bool or float was read as the value it equals, True as u; an unhashable value ended in a bare TypeError;
+    # eval_formula checked no value: at x0 & ~x1, (0, 5) ended in a bare IndexError and (5, 0) read as 1
     with pytest.raises(ValueError, match=_wrong_size(2, digits)):
         _WORLD_SITES[site](w)
 

@@ -14,7 +14,17 @@ from tribelief import (
     PostulateResult,
     Ranking,
     SweepResult,
+    TruthValue,
+    Var,
+    all_rankings,
+    capture_set,
+    check_characterization,
+    check_ci_postulates,
     ci_table,
+    covering_ranking_pairs,
+    interpretations,
+    sweep_all_tables,
+    value_profile,
 )
 
 CI = ci_table()
@@ -148,6 +158,24 @@ def test_constructors_reject_wrong_arguments(build):
         pytest.param(
             lambda: Ranking.from_level_sets(-1, [], [], []), "variable count must be non-negative", id="level-sets-negative-n"
         ),
+        # a float or bool count equal to an int used to be read as that int, or to end in a bare TypeError
+        pytest.param(lambda: Ranking(1.0, (1, 2, 3)), "variable count must be an int, got 1.0", id="float-n"),
+        pytest.param(lambda: Ranking.deserialize("123", 1.0), "variable count must be an int, got 1.0", id="deserialize-float-n"),
+        pytest.param(
+            lambda: Ranking.from_level_sets(True, [(TruthValue.TRUE,)], [(TruthValue.UNDET,)], [(TruthValue.FALSE,)]),
+            "variable count must be an int, got True",
+            id="level-sets-bool-n",
+        ),
+        pytest.param(lambda: all_rankings(1.0), "variable count must be an int, got 1.0", id="all-rankings-float-n"),
+        pytest.param(lambda: interpretations(1.0), "variable count must be an int, got 1.0", id="interpretations-float-n"),
+        pytest.param(lambda: value_profile(Var(0), 1.0), "variable count must be an int, got 1.0", id="profile-float-n"),
+        pytest.param(lambda: covering_ranking_pairs(1.5), "variable count must be an int, got 1.5", id="covering-float-n"),
+        pytest.param(lambda: capture_set([(TruthValue.TRUE,)], 1.0), "variable count must be an int, got 1.0", id="capture-float-n"),
+        pytest.param(
+            lambda: check_characterization(ci_table(), 1.0), "variable count must be an int, got 1.0", id="charac-float-n"
+        ),
+        pytest.param(lambda: sweep_all_tables(2.0), "variable count must be an int, got 2.0", id="sweep-float-n"),
+        pytest.param(lambda: check_ci_postulates(True), "variable count must be an int, got True", id="ci-bool-n"),
     ],
 )
 def test_validation_messages(build, message):

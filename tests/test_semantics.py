@@ -140,6 +140,16 @@ def test_interpretations_rejects_negative():
         interpretations(-1)
 
 
+def test_interpretations_refuses_a_bool_or_float_count_before_and_after_either_is_tried():
+    # the cache used to key True and 1.0 as 1: interpretations(True) answered for n=1 and then
+    # interpretations(1.0) did too, though a cold interpretations(1.0) ended in a bare TypeError
+    interpretations.cache_clear()
+    for n in (1.0, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^variable count must be an int, got {n}$"):
+            interpretations(n)
+    assert interpretations(1) == ((F,), (U,), (T,))
+
+
 def test_interpretation_index_matches_enumeration():
     for n in (0, 1, 2, 3):
         for i, w in enumerate(interpretations(n)):

@@ -30,6 +30,20 @@ SRC = ROOT / "src" / "tribelief"
 
 # name -> (file under src/tribelief, anchor, replacement, test module expected to kill it)
 MUTANTS = {
+    # eval_formula reads a world's values through its tables unchecked: 5 & 1 is 1, ~5 a bare IndexError
+    "eval-world-unchecked": (
+        "semantics.py",
+        "    _world_index(w, len(w))\n    return _profile(",
+        "    return _profile(",
+        "tests/test_ranking.py",
+    ),
+    # a float count is taken for the int it equals: Ranking(1.0, (1, 2, 3)) is built
+    "variable-count-accepts-float": (
+        "semantics.py",
+        "    if type(n) is not int:\n",
+        "    if type(n) not in (int, float):\n",
+        "tests/test_records.py",
+    ),
     # "all 0" read as "no value is 1": an all-u profile would count as a contradiction
     "all-false-as-no-true": (
         "semantics.py",
@@ -91,8 +105,8 @@ MUTANTS = {
     # only a planted cell reader can tell: the combined levels come from the same cells
     "rebuild-read-dropped": (
         "operators.py",
-        "            if (packed != want or combined != read(cells)) and (reason := ",
-        "            if packed != want and (reason := ",
+        "            if packed != want or combined != read(cells):\n",
+        "            if packed != want:\n",
         "tests/test_operators.py",
     ),
     # every failure names the new ranking as the old one and the old as the new

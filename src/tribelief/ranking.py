@@ -216,10 +216,11 @@ def capture_valuation(w: Interpretation) -> Formula:
     """A formula whose unique model is ``w`` (it may have quasi-models).
 
     Per variable: ``xi`` if w(xi)=1, ``~xi`` if w(xi)=0, and
-    ``[]1 xi & []1 ~xi`` if w(xi)=u.  Needs at least one variable.
+    ``[]1 xi & []1 ~xi`` if w(xi)=u.  Needs at least one variable.  Only a
+    cache miss checks ``w``: the cache keys worlds by equality, so once ``(U,)``
+    is captured ``(True,)`` is a hit, and an unhashable value is a TypeError.
     """
-    if not w:
-        raise ValueError("capture formulas need at least one variable")
+    _world_index(w, _variable_count(len(w), 1, "capture formulas need at least one variable"))
     return reduce(And, [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)])
 
 

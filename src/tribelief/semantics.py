@@ -96,34 +96,30 @@ def interpretations(n: int) -> tuple[Interpretation, ...]:
     return tuple(itertools.product(VALUES, repeat=_variable_count(n)))
 
 
-def interpretation_index(w: Interpretation) -> int:
-    """Position of ``w`` within ``interpretations(len(w))``."""
-    index = 0
-    for v in w:
-        index = index * 3 + int(v)
-    return index
-
-
 def _world_index(w: Interpretation, n: int) -> int:
     """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
     (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
     if isinstance(w, Sized) and len(w) == n and _all_in(w, _WORLD_VALUES):  # a generator has no len()
-        return interpretation_index(w)
-    digits = " ".join(_SYMBOLS[v] if _all_in((v,), _WORLD_VALUES) else repr(v) for v in w)
-    raise ValueError(f"expected an interpretation of {n} variable(s), got {digits!r}")
+        index = 0
+        for v in w:
+            index = index * 3 + v
+        return index
+    raise ValueError(f"expected an interpretation of {n} variable(s), got {format_interpretation(w)!r}")
+
+
+def interpretation_index(w: Interpretation) -> int:
+    """Position of ``w`` within ``interpretations(len(w))``; ``w`` is checked as every world is."""
+    return _world_index(w, len(w))
 
 
 def format_interpretation(w: Interpretation, sep: str = " ") -> str:
-    return sep.join(_SYMBOLS[v] for v in w)
+    """``w``'s values as 0, u and 1, joined by ``sep``; any other value prints as its repr."""
+    return sep.join(_SYMBOLS[v] if _all_in((v,), _WORLD_VALUES) else repr(v) for v in w)
 
 
 def _world_lines(n: int, labels) -> list[str]:
-    """One line per interpretation in canonical order: ``d0 d1 ... dn-1 : label``."""
-    lines = []
-    for w, label in zip(interpretations(n), labels):
-        digits = format_interpretation(w)
-        lines.append(f"{digits} : {label}" if digits else f": {label}")
-    return lines
+    """One line per interpretation in canonical order: ``d0 d1 ... dn-1 : label`` (``: label`` if n is 0)."""
+    return [f"{format_interpretation(w)} : {label}".lstrip() for w, label in zip(interpretations(n), labels)]
 
 
 def parse_interpretation(text: str, n: int) -> Interpretation:
@@ -184,9 +180,10 @@ def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> t
 
 
 def eval_formula(formula: Formula, w: Interpretation) -> TruthValue:
-    """Value of ``formula`` under the interpretation ``w``, whose values must be 0, u or 1."""
+    """Value of ``formula`` under the interpretation ``w``, whose values must be 0, u or 1
+    (or the ints 0, 1 and 2); the value is read off ``w``'s TruthValues, so it is one too."""
     _world_index(w, len(w))
-    return _profile(formula, (w,), {})[0]
+    return _profile(formula, (tuple(map(TruthValue, w)),), {})[0]
 
 
 def value_profile(formula: Formula, n: int, memo: dict | None = None) -> tuple[TruthValue, ...]:

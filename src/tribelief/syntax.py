@@ -150,6 +150,8 @@ class Var(Formula):
     __slots__ = _fields = ("index",)
 
     def __new__(cls, index: int):
+        if index.__class__ is bool:  # operator.index reads True as 1, which would hit x1's entry
+            raise TypeError("'bool' object cannot be interpreted as a variable index")
         index = operator.index(index)
         key = (cls, index)
         node = _UNIQUE.get(key, _absent)()

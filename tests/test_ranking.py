@@ -17,6 +17,7 @@ from tribelief import (
     classify,
     eval_formula,
     formula_of_ranking,
+    interpretation_index,
     interpretations,
     level_of_value,
     ranking_of_formula,
@@ -70,7 +71,7 @@ def test_ranking_level_lookup():
 
 def _wrong_size(n, digits):
     """The message every check of a world's size gives, as a regex."""
-    return rf"^expected an interpretation of {n} variable\(s\), got '{re.escape(digits)}'$"
+    return rf"^expected an interpretation of {n} variable\(s\), got {re.escape(repr(digits))}$"
 
 
 @pytest.mark.parametrize(
@@ -86,13 +87,22 @@ def test_ranking_level_rejects_an_interpretation_of_another_size(w, digits):
         r.level(w)
 
 
+def _capture_valuation(w):
+    """capture_valuation(w) on a cleared cache: the cache keys worlds by equality, so a cached (1, 0)
+    would answer (True, 0) without checking it; and it hashes w first, so [1] is a TypeError there."""
+    capture_valuation.cache_clear()
+    return capture_valuation(w)
+
+
 # each entry point that takes a world, given the world under test as one world of a ranking over n=2
-# (eval_formula takes its variable count from the world)
+# (eval_formula, interpretation_index and capture_valuation take their variable count from the world)
 _WORLD_SITES = {
     "eval_formula": lambda w: eval_formula(And(Var(0), Not(Var(1))), w),
     "Ranking.level": lambda w: Ranking(2, (1, 2, 3) * 3).level(w),
     "capture_set": lambda w: capture_set([(F, T), w], 2),
     "Ranking.from_level_sets": lambda w: Ranking.from_level_sets(2, [w], [], [v for v in interpretations(2) if v != w]),
+    "interpretation_index": interpretation_index,
+    "capture_valuation": _capture_valuation,
 }
 
 
@@ -106,22 +116,32 @@ _WORLD_SITES = {
         ((True, 0), "True 0"),
         ((1.0, 0), "1.0 0"),
         ((0, [1]), "0 [1]"),
+        ((0, "u"), "0 'u'"),
+        ((2, 7), "1 7"),
     ],
-    ids=["5-last", "negative", "5-first", "none", "bool", "float", "unhashable"],
+    ids=["5-last", "negative", "5-first", "none", "bool", "float", "unhashable", "str", "7-last"],
 )
 @pytest.mark.parametrize("site", list(_WORLD_SITES))
 def test_world_values_must_be_0_u_or_1(site, w, digits):
     # level((0, 5)) and level((0, -1)) used to read the level of another world, level((5, 0)) ended
     # in a bare IndexError, capture_set blamed the levels and from_level_sets ended in a bare KeyError;
     # a bool or float was read as the value it equals, True as u; an unhashable value ended in a bare TypeError;
-    # eval_formula checked no value: at x0 & ~x1, (0, 5) ended in a bare IndexError and (5, 0) read as 1
+    # eval_formula checked no value: at x0 & ~x1, (0, 5) ended in a bare IndexError and (5, 0) read as 1;
+    # interpretation_index and capture_valuation checked none either: the index of (2, 7) was 13
+    if site == "capture_valuation" and digits == "0 [1]":  # the cache hashes the world before the check
+        with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
+            _WORLD_SITES[site](w)
+        return
     with pytest.raises(ValueError, match=_wrong_size(2, digits)):
         _WORLD_SITES[site](w)
 
 
 @pytest.mark.parametrize("site", list(_WORLD_SITES))
 def test_world_values_may_be_the_ints_0_1_and_2(site):
-    assert _WORLD_SITES[site]((2, 1)) == _WORLD_SITES[site]((T, U))
+    # eval_formula used to return an int it read off the world: x0 & ~x1 at (2, 0) was 2, not 1
+    for w in interpretations(2):
+        got, want = _WORLD_SITES[site](tuple(map(int, w))), _WORLD_SITES[site](w)
+        assert (type(got), got) == (type(want), want)
 
 
 def test_level_sets():

@@ -160,6 +160,8 @@ def test_format_interpretation():
     assert format_interpretation((F, U, T)) == "0 u 1"
     assert format_interpretation((F, U, T), sep="") == "0u1"
     assert format_interpretation(()) == ""
+    # a value that is none of 0, u and 1 (here as TruthValues or ints) prints as its repr; 5 was a bare KeyError
+    assert format_interpretation((5, "u", True, 2)) == "5 'u' True 1"
 
 
 @pytest.mark.parametrize("text", ["0,u,1", "0 u 1", "0u1", " 0 , u , 1 "])

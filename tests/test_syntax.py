@@ -171,6 +171,16 @@ def test_var_rejects_negative_index():
         Var(-1)
 
 
+@pytest.mark.parametrize(
+    "index, kind", [(True, "bool"), (False, "bool"), (1.0, "float")], ids=["true", "false", "float"]
+)
+def test_var_rejects_a_bool_or_float_index(index, kind):
+    # Var(True) used to be Var(1), since the unique table already held x1 under the equal key (Var, 1)
+    Var(int(index))
+    with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as "):
+        Var(index)
+
+
 def test_operator_sugar_builds_nodes():
     assert (Var(0) & ~Var(1) | Bot()) == Or(And(Var(0), Not(Var(1))), Bot())
 

@@ -37,6 +37,27 @@ MUTANTS = {
         "    return _profile(",
         "tests/test_ranking.py",
     ),
+    # eval_formula reads the world as given: at (2, 0), x0 & ~x1 is the int 2, not TruthValue.TRUE
+    "eval-result-not-canonical": (
+        "semantics.py",
+        "(tuple(map(TruthValue, w)),)",
+        "(w,)",
+        "tests/test_ranking.py",
+    ),
+    # interpretation_index counts in base three unchecked: (2, 7) is 13, (True, 0) is 3
+    "interpretation-index-unchecked": (
+        "semantics.py",
+        "    return _world_index(w, len(w))\n",
+        "    return sum(v * 3**i for i, v in enumerate(reversed(w)))\n",
+        "tests/test_ranking.py",
+    ),
+    # capture_valuation checks only its size: (True, 0) is captured as (u, 0), (5, 0) refused as a level
+    "capture-valuation-unchecked": (
+        "ranking.py",
+        '    _world_index(w, _variable_count(len(w), 1, "capture formulas need at least one variable"))\n',
+        '    _variable_count(len(w), 1, "capture formulas need at least one variable")\n',
+        "tests/test_ranking.py",
+    ),
     # a float count is taken for the int it equals: Ranking(1.0, (1, 2, 3)) is built
     "variable-count-accepts-float": (
         "semantics.py",

@@ -220,7 +220,8 @@ def capture_valuation(w: Interpretation) -> Formula:
     cache miss checks ``w``: the cache keys worlds by equality, so once ``(U,)``
     is captured ``(True,)`` is a hit, and an unhashable value is a TypeError.
     """
-    _world_index(w, _variable_count(len(w), 1, "capture formulas need at least one variable"))
+    _world_index(w)
+    _variable_count(len(w), 1, "capture formulas need at least one variable")
     return reduce(And, [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)])
 
 

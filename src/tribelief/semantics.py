@@ -96,20 +96,22 @@ def interpretations(n: int) -> tuple[Interpretation, ...]:
     return tuple(itertools.product(VALUES, repeat=_variable_count(n)))
 
 
-def _world_index(w: Interpretation, n: int) -> int:
+def _world_index(w: Interpretation, n: int | None = None) -> int:
     """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
-    (or the ints 0, 1 and 2; a bool or float equal to one is not)."""
-    if isinstance(w, Sized) and len(w) == n and _all_in(w, _WORLD_VALUES):  # a generator has no len()
+    (or the ints 0, 1 and 2; a bool or float equal to one is not), as many as it has if ``n`` is None."""
+    n = len(w) if n is None and isinstance(w, Sized) else n  # a generator has no len(), so no count to name
+    if isinstance(w, Sized) and len(w) == n and _all_in(w, _WORLD_VALUES):
         index = 0
         for v in w:
             index = index * 3 + v
         return index
-    raise ValueError(f"expected an interpretation of {n} variable(s), got {format_interpretation(w)!r}")
+    size = "" if n is None else f" of {n} variable(s)"
+    raise ValueError(f"expected an interpretation{size}, got {format_interpretation(w)!r}")
 
 
 def interpretation_index(w: Interpretation) -> int:
     """Position of ``w`` within ``interpretations(len(w))``; ``w`` is checked as every world is."""
-    return _world_index(w, len(w))
+    return _world_index(w)
 
 
 def format_interpretation(w: Interpretation, sep: str = " ") -> str:
@@ -124,6 +126,7 @@ def _world_lines(n: int, labels) -> list[str]:
 
 def parse_interpretation(text: str, n: int) -> Interpretation:
     """Parse digits 0/u/1 separated by commas, whitespace, or nothing."""
+    _variable_count(n)
     chunks = text.replace(",", " ").split()
     if len(chunks) == 1 and len(chunks[0]) == n:
         chunks = list(chunks[0])
@@ -182,7 +185,7 @@ def _profile(node: Formula, worlds: tuple[Interpretation, ...], memo: dict) -> t
 def eval_formula(formula: Formula, w: Interpretation) -> TruthValue:
     """Value of ``formula`` under the interpretation ``w``, whose values must be 0, u or 1
     (or the ints 0, 1 and 2); the value is read off ``w``'s TruthValues, so it is one too."""
-    _world_index(w, len(w))
+    _world_index(w)
     return _profile(formula, (tuple(map(TruthValue, w)),), {})[0]
 
 

@@ -302,6 +302,12 @@ def test_check_all_operators_machine(monkeypatch, capsys):
     assert out.splitlines() == ["111111112 FAIL", "checked 3 failed 1"]
 
 
+@pytest.mark.parametrize("argv", [("eval", "-n", "-1", "--at", "1", "x0"), ("capture", "-n", "-1", "1")])
+def test_a_negative_count_is_refused_by_name(capsys, argv):
+    # the world parser used to ask for "-1 truth value(s)"
+    assert run_cli(capsys, *argv) == (2, "", "tri: error: variable count must be non-negative\n")
+
+
 def test_closure_human(capsys):
     code, out, _ = run_cli(capsys, "closure", "--variant", "box1")
     assert code == 0

@@ -162,6 +162,13 @@ def test_apply_semantic_projection_tables():
         b = Ranking(1, (2, 3, 1))
         assert apply_semantic(keep_old, a, b) == a
         assert apply_semantic(drastic_table(), a, b) == b
+    # the characterization check reads its combined levels through apply_semantic's reader, so this is
+    # what holds that reader to the table: on every pair, world w sits at k(old(w), new(w))
+    worlds = interpretations(1)
+    for table in [ci_table(), drastic_table(), *_seeded_block(2027, 20)]:
+        for a, b in itertools.product(all_rankings(1), repeat=2):
+            combined = apply_semantic(table, a, b)
+            assert [combined.level(w) for w in worlds] == [table.k(a.level(w), b.level(w)) for w in worlds]
 
 
 def test_apply_semantic_variable_count_mismatch():
@@ -312,26 +319,12 @@ def test_characterization_rejects_n0():
 
 
 def _plant_transposition(monkeypatch):
+    # each table gets the postulates of its transpose, so only a symmetric table keeps its own
     def transposed(cells):
         return tuple(cells[(j - 1) * 3 + (i - 1)] for i in range(1, 4) for j in range(1, 4))
 
-    def combiner(indices):
-        read = real_combiner(indices)
-        return lambda cells: read(transposed(cells))
-
-    real_combiner, real_flags = operators._combiner, operators._postulate_flags
-    monkeypatch.setattr(operators, "_combiner", combiner)
+    real_flags = operators._postulate_flags
     monkeypatch.setattr(operators, "_postulate_flags", lambda t: real_flags(OperatorTable(transposed(t.cells))))
-
-
-def test_characterization_rebuild_catches_a_transposed_table(monkeypatch):
-    # the same transposition in the semantics and the postulates keeps every
-    # model set consistent, so only rebuilding the table cell-wise can fail
-    _plant_transposition(monkeypatch)
-    result = check_characterization(ci_table())
-    assert not result
-    assert result.failure == "cell (1, 2) rebuilt as [1] instead of 2 for old=111 new=112"
-    assert result.pairs_checked == 2
 
 
 def test_characterization_reports_insufficient_coverage():

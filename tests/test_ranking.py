@@ -137,6 +137,16 @@ def test_world_values_must_be_0_u_or_1(site, w, digits):
 
 
 @pytest.mark.parametrize("site", list(_WORLD_SITES))
+def test_a_world_with_no_length_is_refused(site):
+    # eval_formula, interpretation_index and capture_valuation took len() of it first: a bare TypeError;
+    # they have no count to name, the sites given n name theirs; the message reads the world, so each
+    # call gets a fresh generator
+    size = "" if site in ("eval_formula", "interpretation_index", "capture_valuation") else " of 2 variable(s)"
+    with pytest.raises(ValueError, match=rf"^expected an interpretation{re.escape(size)}, got '1 0'$"):
+        _WORLD_SITES[site](v for v in (T, F))
+
+
+@pytest.mark.parametrize("site", list(_WORLD_SITES))
 def test_world_values_may_be_the_ints_0_1_and_2(site):
     # eval_formula used to return an int it read off the world: x0 & ~x1 at (2, 0) was 2, not 1
     for w in interpretations(2):

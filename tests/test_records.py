@@ -23,6 +23,7 @@ from tribelief import (
     ci_table,
     covering_ranking_pairs,
     interpretations,
+    parse_interpretation,
     sweep_all_tables,
     value_profile,
 )
@@ -176,6 +177,10 @@ def test_constructors_reject_wrong_arguments(build):
         ),
         pytest.param(lambda: sweep_all_tables(2.0), "variable count must be an int, got 2.0", id="sweep-float-n"),
         pytest.param(lambda: check_ci_postulates(True), "variable count must be an int, got True", id="ci-bool-n"),
+        # parse_interpretation read ("1", True) and ("1", 1.0) as (T,), and -1 as "expected -1 truth value(s)"
+        pytest.param(lambda: parse_interpretation("1", True), "variable count must be an int, got True", id="parse-world-bool-n"),
+        pytest.param(lambda: parse_interpretation("1", 1.0), "variable count must be an int, got 1.0", id="parse-world-float-n"),
+        pytest.param(lambda: parse_interpretation("", -1), "variable count must be non-negative", id="parse-world-negative-n"),
     ],
 )
 def test_validation_messages(build, message):

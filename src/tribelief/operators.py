@@ -114,15 +114,15 @@ def revise(table: OperatorTable, f: Formula, g: Formula, n: int) -> Formula:
 _TARGET_FLAGS = tuple(bytes.maketrans(bytes(LEVELS), bytes([level == t for level in LEVELS])) for t in LEVELS)
 
 
-@lru_cache(maxsize=32)
 def _cell_conjunctions(f: Formula, g: Formula) -> tuple[Formula, ...]:
-    """The nine cell conjunctions of a pair, row-major.
-
-    Nodes are hash-consed, so the key is by identity.  The cache spares each
-    postulate of a pair re-interning six level indicators and nine conjunctions.
-    """
+    """The nine cell conjunctions of a pair, row-major; nodes are hash-consed, so equal inputs give the same nodes."""
     rows, columns = ([level_indicator(h, level) for level in LEVELS] for h in (f, g))
     return tuple(And(row, column) for row in rows for column in columns)
+
+
+def _fold(cells: tuple[Formula, ...], flags: bytes) -> Formula:
+    """The Or-chain of ``cells`` with ``bot`` standing in for each cell whose flag is 0."""
+    return reduce(Or, [c if hit else Bot() for c, hit in zip(cells, flags)])
 
 
 def _postulate_flags(table: OperatorTable) -> tuple[bytes, bytes, bytes]:
@@ -141,15 +141,14 @@ def postulate_formula(table: OperatorTable, target: int, f: Formula, g: Formula)
     """
     if not _are_levels((target,)):
         raise ValueError("levels must be 1, 2 or 3")
-    flags = _postulate_flags(table)[target - 1]
-    return reduce(Or, [c if hit else Bot() for c, hit in zip(_cell_conjunctions(f, g), flags)])
+    return _fold(_cell_conjunctions(f, g), _postulate_flags(table)[target - 1])
 
 
 class _Pair:
-    """One ranking pair as every check reads it: ``phi`` and ``theta`` encode its rankings, ``indices`` give
-    each world's cell, and the profile ``memo`` and the ``codes`` of ``check_characterizations`` start empty."""
+    """One ranking pair as every check reads it: ``phi`` and ``theta`` encode its rankings, ``read`` reads a
+    table's cells at each world's cell ``indices``, and the profile ``memo``, ``codes`` and ``cells`` fill as needed."""
 
-    __slots__ = ("n", "old", "new", "phi", "theta", "indices", "memo", "codes")
+    __slots__ = ("n", "old", "new", "phi", "theta", "indices", "read", "memo", "codes", "cells")
 
     def __init__(self, n: int, old: Ranking, new: Ranking):
         if old.n != n or new.n != n:
@@ -157,17 +156,24 @@ class _Pair:
         self.n, self.old, self.new = n, old, new
         self.phi, self.theta = formula_of_ranking(old), formula_of_ranking(new)
         self.indices = _cell_indices(old, new)
-        self.memo, self.codes = {}, {}
+        self.read = _combiner(self.indices)
+        self.memo, self.codes, self.cells = {}, {}, None
 
     def profile(self, h: Formula) -> tuple[TruthValue, ...]:
         return value_profile(h, self.n, self.memo)
+
+    def code(self, flags: bytes) -> int:
+        """The models of the postulate with ``flags`` on this pair, packed: bit 3w for each model w."""
+        self.cells = self.cells or _cell_conjunctions(self.phi, self.theta)
+        profile = self.profile(_fold(self.cells, flags))
+        return sum(1 << 3 * w for w, v in enumerate(profile) if v is TruthValue.TRUE)
 
     @property
     def witness(self) -> str:
         return f"old={self.old.serialize()} new={self.new.serialize()}"
 
     def star(self, table: OperatorTable) -> Formula:
-        return formula_of_ranking(apply_semantic(table, self.old, self.new))
+        return formula_of_ranking(Ranking(self.n, self.read(table.cells)))
 
     def revise(self, table: OperatorTable, f: Formula, g: Formula) -> Formula:
         """The revision of ``f`` by ``g`` under ``table``, their rankings read on the pair's profile memo."""
@@ -234,20 +240,6 @@ def check_characterization(
     return check_characterizations([table], n, pairs)[0]
 
 
-def _code(table: OperatorTable, target: int, pair: _Pair) -> int:
-    """The models of ``table``'s target postulate on ``pair``, packed."""
-    profile = pair.profile(postulate_formula(table, target, pair.phi, pair.theta))
-    return sum(1 << 3 * w for w, v in enumerate(profile) if v is TruthValue.TRUE)
-
-
-def _explain(table: OperatorTable, combined: tuple[int, ...], pair: _Pair, flags: tuple[bytes, ...]) -> str:
-    """Why ``table``, whose postulates have ``flags``, fails on ``pair``, read off the codes ``_failures`` filled;
-    the target shifts keep the three codes apart, so a packed mismatch is a mismatch of one code."""
-    for target, key in zip(LEVELS, flags):
-        if pair.codes[key] != sum(1 << 3 * w for w, level in enumerate(combined) if level == target):
-            return f"target {target} postulate models mismatch"
-
-
 def _failures(
     tables: list[OperatorTable], n: int, pairs: Iterable[tuple[Ranking, Ranking]] | None
 ) -> tuple[dict[int, tuple[int, str]], int]:
@@ -264,26 +256,27 @@ def _failures(
     covered: set[int] = set()  # cell indices
     checked = 0
     places = [1 << 3 * w for w in range(3**n)]
+    spread = sum(places)  # bit 3*w for each world w
     for pair in _pairs(n, pairs):
-        codes = pair.codes
+        codes, read = pair.codes, pair.read
         expected: dict[tuple[int, ...], int] = {}  # combined levels -> bit 3*w + level for each world w
         checked += 1
-        combine = _combiner(pair.indices)
         covered.update(pair.indices)
         before = len(failures)
         for t, table, cells, one, two, three in live:
-            combined = combine(cells)
+            combined = read(cells)
             if (want := expected.get(combined)) is None:
                 want = expected[combined] = sum(map(operator.lshift, places, combined))
             try:
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
             except KeyError:  # a postulate not yet met on this pair
-                for target, key in zip(LEVELS, (one, two, three)):
+                for key in (one, two, three):
                     if key not in codes:
-                        codes[key] = _code(table, target, pair)
+                        codes[key] = pair.code(key)
                 packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3
-            if packed != want:
-                failures[t] = checked, f"{_explain(table, combined, pair, (one, two, three))} for {pair.witness}"
+            if packed != want:  # bit 3*w + target of the difference: world w is wrong at target
+                target = next(level for level in LEVELS if (packed ^ want) >> level & spread)
+                failures[t] = checked, f"target {target} postulate models mismatch for {pair.witness}"
         if len(failures) != before:
             live = [row for row in live if row[0] not in failures]
         if not live:  # every table has failed
@@ -305,7 +298,7 @@ def check_characterizations(
     one a check of that table alone gives.
 
     Each table's three postulate flags are computed once per call, and each
-    pair reads every table through one cell reader (``_combiner``).  What the
+    pair reads every table through its one cell reader (``_Pair.read``).  What the
     tables share is per pair (the ``_Pair`` from ``_pair_memo``): the profile
     memo, and the ``codes``, the models of each postulate checked so far,
     packed into one int and keyed by its flags.  On one pair a postulate is the Or-chain of its flagged cells,

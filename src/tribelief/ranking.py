@@ -211,18 +211,24 @@ def level_indicator(f: Formula, level: int) -> Formula:
     return Not(f)
 
 
-@lru_cache(maxsize=None)
 def capture_valuation(w: Interpretation) -> Formula:
     """A formula whose unique model is ``w`` (it may have quasi-models).
 
     Per variable: ``xi`` if w(xi)=1, ``~xi`` if w(xi)=0, and
-    ``[]1 xi & []1 ~xi`` if w(xi)=u.  Needs at least one variable.  Only a
-    cache miss checks ``w``: the cache keys worlds by equality, so once ``(U,)``
-    is captured ``(True,)`` is a hit, and an unhashable value is a TypeError.
+    ``[]1 xi & []1 ~xi`` if w(xi)=u.  Needs at least one variable.  ``w`` is
+    checked before the cache is read, since the cache keys worlds by equality.
     """
     _world_index(w)
     _variable_count(len(w), 1, "capture formulas need at least one variable")
+    return _capture(tuple(w))
+
+
+@lru_cache(maxsize=None)
+def _capture(w: Interpretation) -> Formula:  # the cache of capture_valuation, for a world already checked
     return reduce(And, [level_indicator(Var(i), level_of_value(v)) for i, v in enumerate(w)])
+
+
+capture_valuation.cache_info, capture_valuation.cache_clear = _capture.cache_info, _capture.cache_clear
 
 
 def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
@@ -234,7 +240,7 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
     by_index = {_world_index(w, n): w for w in worlds}  # each world is checked before it is hashed
     if not by_index:
         return Bot()
-    return reduce(Or, [capture_valuation(by_index[index]) for index in sorted(by_index)])
+    return reduce(Or, [_capture(tuple(by_index[index])) for index in sorted(by_index)])
 
 
 @lru_cache(maxsize=32)

@@ -13,7 +13,7 @@ Each box is the dual ``~ <>i ~`` of its diamond.
 
 import enum
 import itertools
-from collections.abc import Sized
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .syntax import And, Bot, Box1, Box2, Dia1, Dia2, Formula, Implies, Not, Or, Var
@@ -97,10 +97,10 @@ def interpretations(n: int) -> tuple[Interpretation, ...]:
 
 
 def _world_index(w: Interpretation, n: int | None = None) -> int:
-    """``w``'s position in interpretations(n); ``w`` must be ``n`` values from 0, u, 1
+    """``w``'s position in interpretations(n); ``w`` must be a sequence of ``n`` values from 0, u, 1
     (or the ints 0, 1 and 2; a bool or float equal to one is not), as many as it has if ``n`` is None."""
-    n = len(w) if n is None and isinstance(w, Sized) else n  # a generator has no len(), so no count to name
-    if isinstance(w, Sized) and len(w) == n and _all_in(w, _WORLD_VALUES):
+    n = len(w) if n is None and isinstance(w, Sequence) else n  # a generator has no count; a dict or set no order
+    if isinstance(w, Sequence) and len(w) == n and _all_in(w, _WORLD_VALUES):
         index = 0
         for v in w:
             index = index * 3 + v

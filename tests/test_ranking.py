@@ -87,13 +87,6 @@ def test_ranking_level_rejects_an_interpretation_of_another_size(w, digits):
         r.level(w)
 
 
-def _capture_valuation(w):
-    """capture_valuation(w) on a cleared cache: the cache keys worlds by equality, so a cached (1, 0)
-    would answer (True, 0) without checking it; and it hashes w first, so [1] is a TypeError there."""
-    capture_valuation.cache_clear()
-    return capture_valuation(w)
-
-
 # each entry point that takes a world, given the world under test as one world of a ranking over n=2
 # (eval_formula, interpretation_index and capture_valuation take their variable count from the world)
 _WORLD_SITES = {
@@ -102,7 +95,7 @@ _WORLD_SITES = {
     "capture_set": lambda w: capture_set([(F, T), w], 2),
     "Ranking.from_level_sets": lambda w: Ranking.from_level_sets(2, [w], [], [v for v in interpretations(2) if v != w]),
     "interpretation_index": interpretation_index,
-    "capture_valuation": _capture_valuation,
+    "capture_valuation": capture_valuation,
 }
 
 
@@ -127,11 +120,8 @@ def test_world_values_must_be_0_u_or_1(site, w, digits):
     # in a bare IndexError, capture_set blamed the levels and from_level_sets ended in a bare KeyError;
     # a bool or float was read as the value it equals, True as u; an unhashable value ended in a bare TypeError;
     # eval_formula checked no value: at x0 & ~x1, (0, 5) ended in a bare IndexError and (5, 0) read as 1;
-    # interpretation_index and capture_valuation checked none either: the index of (2, 7) was 13
-    if site == "capture_valuation" and digits == "0 [1]":  # the cache hashes the world before the check
-        with pytest.raises(TypeError, match="^unhashable type: 'list'$"):
-            _WORLD_SITES[site](w)
-        return
+    # interpretation_index and capture_valuation checked none either: the index of (2, 7) was 13;
+    # capture_valuation hashed the world for its cache before the check, so [1] was a bare TypeError
     with pytest.raises(ValueError, match=_wrong_size(2, digits)):
         _WORLD_SITES[site](w)
 
@@ -144,6 +134,17 @@ def test_a_world_with_no_length_is_refused(site):
     size = "" if site in ("eval_formula", "interpretation_index", "capture_valuation") else " of 2 variable(s)"
     with pytest.raises(ValueError, match=rf"^expected an interpretation{re.escape(size)}, got '1 0'$"):
         _WORLD_SITES[site](v for v in (T, F))
+
+
+@pytest.mark.parametrize("w, digits", [({2: "junk", 0: "junk"}, "1 0"), ({0, 2}, "0 1")], ids=["dict", "set"])
+@pytest.mark.parametrize("site", list(_WORLD_SITES))
+def test_a_world_that_is_not_a_sequence_is_refused(site, w, digits):
+    # a dict was read by its keys, so interpretation_index gave 6 for the one above, and a set in hash order;
+    # like a generator it has no count for the sites that take theirs from the world to name
+    size = "" if site in ("eval_formula", "interpretation_index", "capture_valuation") else " of 2 variable(s)"
+    message = f"expected an interpretation{size}, got {digits!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _WORLD_SITES[site](w)
 
 
 @pytest.mark.parametrize("site", list(_WORLD_SITES))
@@ -290,6 +291,22 @@ def test_capture_valuation_undetermined_world_has_quasi_models():
     assert models == ((U,),)
     assert quasi == ((F,), (T,))
     assert counter == ()
+
+
+def test_capture_valuation_checks_a_world_its_cache_holds():
+    # the cache keys worlds by equality, and only a miss used to check the world: once (u,) was captured,
+    # (True,) and (1.0,) read its entry
+    assert capture_valuation((U,)) is capture_valuation((U,))
+    for w, digits in (((True,), "True"), ((1.0,), "1.0")):
+        with pytest.raises(ValueError, match=rf"^expected an interpretation of 1 variable\(s\), got '{digits}'$"):
+            capture_valuation(w)
+
+
+def test_a_list_world_is_captured_as_its_tuple():
+    # a list is a sequence of values like a tuple; both captures used to hash it for a cache, a bare TypeError
+    w = (T, U)
+    assert capture_valuation(list(w)) is capture_valuation(w)
+    assert capture_set([list(w)], 2) is capture_set([w], 2)
 
 
 def test_capture_valuation_rejects_empty():

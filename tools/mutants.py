@@ -65,6 +65,20 @@ MUTANTS = {
         "    _variable_count(len(w), 1,",
         "tests/test_ranking.py",
     ),
+    # capture_valuation is cached ahead of its check again: once (u,) is captured, (True,) reads its entry
+    "capture-valuation-hit-unchecked": (
+        "ranking.py",
+        "\ndef capture_valuation(",
+        "\n@lru_cache(maxsize=None)\ndef capture_valuation(",
+        "tests/test_ranking.py",
+    ),
+    # a world need only be sized: a dict is read by its keys, a set in hash order
+    "world-dict-accepted": (
+        "semantics.py",
+        "    if isinstance(w, Sequence) and len(w) == n",
+        "    if hasattr(w, '__len__') and len(w) == n",
+        "tests/test_ranking.py",
+    ),
     # parse_interpretation takes any count: ("1", True) is (T,), and -1 is "expected -1 truth value(s)"
     "parse-interpretation-count-unchecked": (
         "semantics.py",
@@ -117,11 +131,18 @@ MUTANTS = {
         '"CI8": (lambda left, right: True,',
         "tests/test_operators.py",
     ),
-    # the sweep's packed postulate models without their target shifts: every pass is explained
+    # the sweep's packed postulate models without their target shifts: every table fails
     "codes-not-shifted": (
         "operators.py",
         "            try:\n                packed = codes[one] << 1 | codes[two] << 2 | codes[three] << 3\n",
         "            try:\n                packed = codes[one] | codes[two] | codes[three]\n",
+        "tests/test_operators.py",
+    ),
+    # the failing target is read off a shift one too low, so a failure can name the wrong target
+    "failing-target-off-by-one-shift": (
+        "operators.py",
+        "(packed ^ want) >> level & spread",
+        "(packed ^ want) >> level - 1 & spread",
         "tests/test_operators.py",
     ),
     # each world reads the cell of the next world

@@ -9,7 +9,7 @@ some formula, built here out of capture formulas for its level sets.
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, partial, reduce
 
 from .semantics import (
@@ -238,9 +238,12 @@ def capture_set(worlds: Iterable[Interpretation], n: int) -> Formula:
     """
     _variable_count(n, 1, "capture formulas need at least one variable")
     by_index = {_world_index(w, n): w for w in worlds}  # each world is checked before it is hashed
-    if not by_index:
-        return Bot()
-    return reduce(Or, [_capture(tuple(by_index[index])) for index in sorted(by_index)])
+    return _capture_all([tuple(by_index[index]) for index in sorted(by_index)])
+
+
+def _capture_all(worlds: Sequence[Interpretation]) -> Formula:
+    """The disjunction of the capture formulas of ``worlds``, checked worlds in canonical order; ``bot`` if none."""
+    return reduce(Or, map(_capture, worlds)) if worlds else Bot()
 
 
 @lru_cache(maxsize=32)
@@ -248,10 +251,11 @@ def formula_of_ranking(r: Ranking) -> Formula:
     """A formula inducing exactly the ranking ``r``.
 
     Capture the uncertain and rejected level sets, then forbid them with the
-    matching modal strength: ``~(<>1 psi2 | <>2 psi3)``.
+    matching modal strength: ``~(<>1 psi2 | <>2 psi3)``.  The level sets are
+    read off ``interpretations(n)`` in order, so they need no check.
     """
     if r.n < 1:
         raise ValueError("ranking encodings need at least one variable")
-    uncertain = capture_set(r.level_set(2), r.n)
-    rejected = capture_set(r.level_set(3), r.n)
+    uncertain = _capture_all(r.level_set(2))
+    rejected = _capture_all(r.level_set(3))
     return Not(Or(Dia1(uncertain), Dia2(rejected)))

@@ -99,12 +99,13 @@ def interpretations(n: int) -> tuple[Interpretation, ...]:
 def _world_index(w: Interpretation, n: int | None = None) -> int:
     """``w``'s position in interpretations(n); ``w`` must be a sequence of ``n`` values from 0, u, 1
     (or the ints 0, 1 and 2; a bool or float equal to one is not), as many as it has if ``n`` is None."""
-    n = len(w) if n is None and isinstance(w, Sequence) else n  # a generator has no count; a dict or set no order
-    if isinstance(w, Sequence) and len(w) == n and _all_in(w, _WORLD_VALUES):
-        index = 0
-        for v in w:
-            index = index * 3 + v
-        return index
+    if isinstance(w, Sequence):  # a generator has no count; a dict or set no order
+        n = len(w) if n is None else n
+        if len(w) == n and _all_in(w, _WORLD_VALUES):
+            index = 0
+            for v in w:
+                index = index * 3 + v
+            return index
     size = "" if n is None else f" of {n} variable(s)"
     raise ValueError(f"expected an interpretation{size}, got {format_interpretation(w)!r}")
 

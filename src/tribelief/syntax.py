@@ -18,6 +18,7 @@ copy of a subformula, wherever and whenever it was built.
 import operator
 import re
 import weakref
+from collections.abc import Iterator
 
 
 class FormulaSyntaxError(ValueError):
@@ -226,47 +227,53 @@ _UNARY_NODES = {"~": Not, "<>1": Dia1, "[]1": Box1, "<>2": Dia2, "[]2": Box2}
 def parse(text: str) -> Formula:
     """Parse formula text into its AST, raising FormulaSyntaxError on bad input.
 
-    One operator-precedence loop over explicit stacks, so nesting depth is
-    bounded by memory alone.
+    One ``findall`` splits the whole text into lexemes before parsing
+    starts, so a lexical error anywhere is reported ahead of an earlier
+    grammar error.  One operator-precedence loop over explicit stacks then
+    dispatches on the lexeme strings, so nesting depth is bounded by memory
+    alone.  Positions are worked out only for an error.
     """
     operands: list[Formula] = []
     pending = [_OPEN]  # connectives and open parentheses not yet applied
-    tokens = iter(_tokenize(text))
+    lexemes = _LEXEME.findall(text)
+    tokens = iter(lexemes)
+    atoms = {"bot": Bot()}  # the node of each atom lexeme read so far
     # the outer loop reads where an operand starts, the inner one what follows it
-    for kind, index, position in tokens:
-        prefix = _PREFIX_TOKENS.get(kind)
+    for lexeme in tokens:
+        prefix = _PREFIX_TOKENS.get(lexeme)
         if prefix is not None:
             pending.append(prefix)
             continue
-        if kind == "bot":
-            operands.append(Bot())
-        elif kind == "var":
-            operands.append(Var(index))
-        elif kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", position)
-        else:
-            raise FormulaSyntaxError(f"unexpected {kind!r}", position)
-        for kind, index, position in tokens:
-            node, prec, right_assoc = _BINARY_TOKENS.get(kind, _CLOSE)
-            # apply what binds tighter than the connective just read
-            while pending[-1][1] > prec or (pending[-1][1] == prec and not right_assoc):
+        atom = atoms.get(lexeme)
+        if atom is None:
+            # a variable is the one lexeme left whose tail is a run of digits
+            try:
+                atom = atoms[lexeme] = Var(int(lexeme[1:]))
+            except ValueError:
+                message = "unexpected {!r}" if lexeme else "unexpected end of input"
+                raise _syntax_error(text, lexemes, tokens, message) from None
+        operands.append(atom)
+        for lexeme in tokens:
+            binary = _BINARY_TOKENS.get(lexeme, _CLOSE)
+            # apply what binds at least as tightly as the connective just read requires
+            while pending[-1][1] >= binary[2]:
                 applied, applied_prec, _ = pending.pop()
                 if applied_prec == _PREC_UNARY:
                     operands[-1] = applied(operands[-1])
                 else:
                     right = operands.pop()
                     operands[-1] = applied(operands[-1], right)
-            if node is not None:
-                pending.append((node, prec, right_assoc))
+            if binary is not _CLOSE:
+                pending.append(binary)
                 break
             if len(pending) > 1:
-                if kind != ")":
-                    raise FormulaSyntaxError("expected ')'", position)
+                if lexeme != ")":
+                    raise _syntax_error(text, lexemes, tokens, "expected ')'")
                 pending.pop()
-            elif kind == "end":
+            elif not lexeme:  # the end
                 return operands[0]
             else:
-                raise FormulaSyntaxError(f"unexpected {kind!r} after formula", position)
+                raise _syntax_error(text, lexemes, tokens, "unexpected {!r} after formula")
 
 
 _PREC_UNARY = 4
@@ -277,28 +284,39 @@ _UNARY_PREFIXES = {node: lexeme if lexeme == "~" else lexeme + " " for lexeme, n
 # the printer reads it directly, the parser through _BINARY_TOKENS
 _BINARY_SYNTAX = {And: (" & ", 3, False), Or: (" | ", 2, False), Implies: (" -> ", 1, True)}
 
-_BINARY_TOKENS = {symbol.strip(): (node, prec, right) for node, (symbol, prec, right) in _BINARY_SYNTAX.items()}
+# the parser's entry for each binary connective: its node, its precedence, and
+# the least precedence a pending connective needs to be applied before it
+_BINARY_TOKENS = {
+    symbol.strip(): (node, prec, prec + 1 if right else prec) for node, (symbol, prec, right) in _BINARY_SYNTAX.items()
+}
 
 # The parser's mark for the bottom of its stack and each open parenthesis.
-# Any other token read after an operand acts as _CLOSE: it applies every
+# Any other lexeme read after an operand acts as _CLOSE: it applies every
 # connective above the mark.
-_OPEN = _CLOSE = (None, 0, True)
+_OPEN = _CLOSE = (None, 0, 1)
 
 _PREFIX_TOKENS = {"(": _OPEN} | {lexeme: (node, _PREC_UNARY, False) for lexeme, node in _UNARY_NODES.items()}
+
+_CONNECTIVES = (*_PREFIX_TOKENS, *_BINARY_TOKENS, ")")
 
 # A letter of a word: a word character other than a digit or "_".  That is
 # str.isalpha, and also numerals such as "²" or "Ⅷ".
 _LETTER = r"[^\W\d_]"
 
-# After any whitespace, one alternative per kind of token, then one per
-# lexical error; the first that matches is the match's lastgroup.  Some
-# alternative matches at every position, so the matches are contiguous up to
-# the empty "end" match.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<connective>"
-    + "|".join(re.escape(lexeme) for lexeme in (*_PREFIX_TOKENS, *_BINARY_TOKENS, ")"))
-    + rf")|(?P<bot>bot)(?!{_LETTER})|(?P<var>x[0-9]+)|(?P<end>\Z)"
-    + rf"|(?P<dash>-)|(?P<operator>[<\[].{{0,2}})|x(?P<index>)(?!{_LETTER})|(?P<word>{_LETTER}+)|(?P<character>.))",
+# After any whitespace, one lexeme: a connective, ``bot``, a variable, any
+# other single character (which starts no token, so it is a lexical error),
+# or the empty string at the end.  Some alternative matches at every
+# position, so the lexemes cover the text and end with at least one "".
+_LEXEME = re.compile(
+    r"\s*("
+    + "|".join(re.escape(lexeme) for lexeme in _CONNECTIVES)
+    + rf"|bot(?!{_LETTER})|x[0-9]+|\S|\Z)"
+)
+
+# Read at a lexeme of one character that starts no token: the kind of lexical
+# error there, the first alternative that matches.
+_LEXICAL_ERROR = re.compile(
+    rf"(?P<dash>-)|(?P<operator>[<\[].{{0,2}})|x(?P<index>)(?!{_LETTER})|(?P<word>{_LETTER}+)|(?P<character>.)",
     re.DOTALL,
 )
 
@@ -311,30 +329,38 @@ _LEXICAL_ERRORS = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
-    """``(kind, variable index or None, position)`` for each token of ``text``,
-    ending with an ``"end"`` token.
+def _kind(lexeme: str) -> str | None:
+    """A connective itself, or "bot", "var" or "end"; None for a character that starts no token."""
+    if lexeme in _CONNECTIVES:
+        return lexeme
+    if len(lexeme) > 1:
+        return "bot" if lexeme == "bot" else "var"
+    return None if lexeme else "end"
 
-    The whole text is read before parsing starts, so a lexical error
-    anywhere is reported ahead of an earlier grammar error.
+
+def _syntax_error(text: str, lexemes: list[str], tokens: Iterator[str], message: str) -> FormulaSyntaxError:
+    """The error for ``message`` at the lexeme ``parse`` read last from ``tokens``.
+
+    The first lexical error of ``text`` wins, wherever it is.  Otherwise
+    ``message``, formatted with that lexeme's kind, is placed at its
+    position.
     """
-    tokens: list[tuple[str, int | None, int]] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        position = match.start(kind)
-        if kind == "connective":
-            tokens.append((match[kind], None, position))
-        elif kind == "var":
+    at = len(lexemes) - operator.length_hint(tokens) - 1
+    positions: list[int] = []
+    for match in _LEXEME.finditer(text):
+        lexeme, position = match[1], match.start(1)
+        kind = _kind(lexeme)
+        if kind is None:
+            error = _LEXICAL_ERROR.match(text, position)
+            found = error.lastgroup
+            return FormulaSyntaxError(_LEXICAL_ERRORS[found].format(error[found]), error.start(found))
+        if kind == "var":
             try:
-                tokens.append((kind, int(match[kind][1:]), position))
+                int(lexeme[1:])
             except ValueError:  # more digits than int() converts
-                raise FormulaSyntaxError("variable index has too many digits", position + 1) from None
-        elif kind in _LEXICAL_ERRORS:
-            raise FormulaSyntaxError(_LEXICAL_ERRORS[kind].format(match[kind]), position)
-        else:
-            tokens.append((kind, None, position))
-            if kind == "end":
-                return tokens
+                return FormulaSyntaxError("variable index has too many digits", position + 1)
+        positions.append(position)
+    return FormulaSyntaxError(message.format(_kind(lexemes[at])), positions[at])
 
 
 def render(formula: Formula) -> str:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -7,7 +8,10 @@ from tribelief import (
     And,
     Bot,
     Box1,
+    Dia1,
+    Dia2,
     Not,
+    Or,
     Ranking,
     TruthValue,
     Var,
@@ -345,6 +349,23 @@ def test_capture_set_validation():
 def test_formula_of_ranking_round_trip_all_n1():
     for r in all_rankings(1):
         assert ranking_of_formula(formula_of_ranking(r), 1) == r
+
+
+def _seeded_rankings(n, count, seed):
+    rng = random.Random(seed)
+    return [Ranking(n, rng.choices((1, 2, 3), k=3**n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "n, ranked",
+    [(1, lambda: all_rankings(1)), (2, lambda: all_rankings(2)), (4, lambda: _seeded_rankings(4, 200, 2029))],
+    ids=["all-n1", "all-n2", "seeded-n4"],
+)
+def test_formula_of_ranking_is_the_capture_set_encoding(n, ranked):
+    # formula_of_ranking folds its own level sets unchecked; capture_set checks and sorts the worlds it is given
+    for r in ranked():
+        expected = Not(Or(Dia1(capture_set(r.level_set(2), n)), Dia2(capture_set(r.level_set(3), n))))
+        assert formula_of_ranking(r) is expected
 
 
 def test_formula_of_ranking_rejects_n0():

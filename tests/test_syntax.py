@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -16,12 +17,15 @@ from tribelief import (
     Implies,
     Not,
     Or,
+    Ranking,
     Var,
+    formula_of_ranking,
     parse,
     render,
     value_profile,
 )
 from tribelief import syntax
+import reference_syntax
 from strategies import formula_texts, formulas
 
 
@@ -326,3 +330,74 @@ def test_long_chains_round_trip_and_evaluate(chain):
     f, values = chain(5000)
     assert parse(render(f)) is f
     assert list(value_profile(f, 1)) == values
+
+
+def _outcome(parser, text):
+    """The node ``parser`` returns for ``text``, or the message and position of its syntax error."""
+    try:
+        return parser(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def _assert_parse_agrees_with_the_reference(text):
+    expected, got = _outcome(reference_syntax.parse, text), _outcome(parse, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got is expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("x\u00b2", id="superscript-index"),
+        pytest.param("x\u0661", id="arabic-index"),
+        pytest.param("x" + "1" * 4301, id="4301-digit-index"),
+        pytest.param("x0 & x" + "0" * 4301 + " &", id="long-index-before-a-grammar-error"),
+        pytest.param("x 0", id="spaced-index"),
+        pytest.param("xabc", id="x-word"),
+        pytest.param("x12abc", id="index-then-word"),
+        pytest.param("bot1", id="bot-digit"),
+        pytest.param("botx", id="bot-letter"),
+        pytest.param("<>3", id="unknown-diamond"),
+        pytest.param("[]", id="bare-box"),
+        pytest.param("-", id="lone-dash"),
+        pytest.param("x0 <- x1", id="back-arrow"),
+        pytest.param("<\n\t", id="operator-over-whitespace"),
+        pytest.param("", id="empty"),
+        pytest.param(" \u00a0\n", id="only-whitespace"),
+        pytest.param("(x0", id="unclosed"),
+        pytest.param("((x0) & (x1 | x2)", id="unclosed-after-a-group"),
+        pytest.param("x0)", id="extra-close"),
+        pytest.param("(x0))", id="extra-close-after-a-group"),
+        pytest.param(")x0 <>3", id="close-then-lexical-error"),
+        pytest.param("<>1)bo!&bo", id="grammar-error-then-word"),
+        pytest.param("x0 x1", id="two-operands"),
+        pytest.param("bot ~x0", id="prefix-after-operand"),
+        pytest.param("x0 & ", id="trailing-connective"),
+        pytest.param("~" * 3000 + "x0", id="3000-deep-negation"),
+        pytest.param("\u2003[]1 x0 &\t<>2 (x1 -> x2 | bot)\n", id="unicode-whitespace"),
+    ],
+)
+def test_parse_agrees_with_the_reference_parser(text):
+    _assert_parse_agrees_with_the_reference(text)
+
+
+@given(formula_texts())
+def test_parse_agrees_with_the_reference_on_mangled_text(text):
+    _assert_parse_agrees_with_the_reference(text)
+
+
+@given(st.text(alphabet="x012u&|->()~<>[] bot!\u00b2\n", max_size=30))
+def test_parse_agrees_with_the_reference_on_any_text(text):
+    _assert_parse_agrees_with_the_reference(text)
+
+
+def test_parse_agrees_with_the_reference_on_ranking_encodings():
+    rng = random.Random(881)
+    for _ in range(20):
+        text = render(formula_of_ranking(Ranking(4, rng.choices((1, 2, 3), k=81))))
+        _assert_parse_agrees_with_the_reference(text)
+        cut = rng.randrange(len(text))
+        _assert_parse_agrees_with_the_reference(text[:cut] + rng.choice("x)-!") + text[cut:])
